@@ -77,14 +77,9 @@ obs::SessionStore ipas::buildSessionStore(const SessionBuildInputs &In) {
     Row.ReachableHash = Summaries.reachableHash(F);
     FnIndex[F] = S.Functions.size();
     S.Functions.push_back(Row);
-    for (char C : F->name()) {
-      ModuleHash ^= static_cast<unsigned char>(C);
-      ModuleHash *= obs::FnvPrime;
-    }
-    for (int B = 0; B != 8; ++B) {
-      ModuleHash ^= (Row.ContentHash >> (8 * B)) & 0xff;
-      ModuleHash *= obs::FnvPrime;
-    }
+    std::string Key = F->name();
+    obs::Encoder(Key).u64(Row.ContentHash);
+    ModuleHash = obs::fnv1a(Key.data(), Key.size(), ModuleHash);
   }
   S.ModuleHash = ModuleHash;
 

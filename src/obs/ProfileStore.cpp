@@ -4,14 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// File layout (all integers little-endian), mirroring RecordStore:
-//
-//   offset  size  field
-//   0       8     magic "IPASPROF"
-//   8       4     version (u32, currently 1)
-//   12      8     payload length (u64)
-//   20      N     payload (see serializePayload)
-//   20+N    8     FNV-1a 64 checksum of the payload bytes
+// File layout: the shared store envelope (obs/BinCodec.h) with magic
+// "IPASPROF" and version 1; the payload is below (serializePayload).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,15 +13,13 @@
 
 #include "obs/BinCodec.h"
 
-#include <cstdio>
-#include <cstring>
-
 using namespace ipas;
 using namespace ipas::obs;
 
 namespace {
 
-constexpr char Magic[8] = {'I', 'P', 'A', 'S', 'P', 'R', 'O', 'F'};
+constexpr StoreEnvelope Envelope = {"IPASPROF", ProfileStoreVersion,
+                                     "profile store"};
 
 void serializePayload(const ProfileStore &S, Encoder &E) {
   E.str(S.ModuleName);
@@ -87,7 +79,7 @@ void serializePayload(const ProfileStore &S, Encoder &E) {
   }
 }
 
-bool parsePayload(ProfileStore &S, Decoder &D, std::string *Err) {
+void parsePayload(ProfileStore &S, Decoder &D) {
   S.ModuleName = D.str();
   S.EntryFunction = D.str();
   S.Label = D.str();
@@ -143,119 +135,29 @@ bool parsePayload(ProfileStore &S, Decoder &D, std::string *Err) {
     O.ShadowCycles = D.u64();
     O.CheckCycles = D.u64();
   }
-  if (!D.ok()) {
-    if (Err)
-      *Err = "profile store payload truncated or corrupt";
-    return false;
-  }
-  if (!D.atEnd()) {
-    if (Err)
-      *Err = "profile store payload has trailing bytes";
-    return false;
-  }
-  return true;
 }
 
 } // namespace
 
-void ipas::obs::serializeProfileStore(const ProfileStore &S,
-                                      std::string &Out) {
-  Out.clear();
-  Out.append(Magic, sizeof(Magic));
-  Encoder Header(Out);
-  Header.u32(ProfileStoreVersion);
-  std::string Payload;
-  Encoder E(Payload);
-  serializePayload(S, E);
-  Header.u64(Payload.size());
-  Out.append(Payload);
-  Encoder Footer(Out);
-  Footer.u64(fnv1a(Payload.data(), Payload.size()));
+void ipas::obs::serializeProfileStore(const ProfileStore &S, std::string &Out) {
+  encodeEnvelope(Envelope, Out, [&](Encoder &E) { serializePayload(S, E); });
 }
 
 bool ipas::obs::writeProfileStore(const ProfileStore &S,
-                                  const std::string &Path,
-                                  std::string *Err) {
+                                  const std::string &Path, std::string *Err) {
   std::string Bytes;
   serializeProfileStore(S, Bytes);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = Written == Bytes.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok && Err)
-    *Err = "short write to '" + Path + "'";
-  return Ok;
+  return writeFileAtomic(Path, Bytes, Err);
 }
 
 bool ipas::obs::parseProfileStore(ProfileStore &S, const std::string &Data,
                                   std::string *Err) {
-  // Fixed header: magic + version + payload length.
-  constexpr size_t HeaderSize = sizeof(Magic) + 4 + 8;
-  if (Data.size() < HeaderSize) {
-    if (Err)
-      *Err = "not a profile store (file too small)";
-    return false;
-  }
-  if (std::memcmp(Data.data(), Magic, sizeof(Magic)) != 0) {
-    if (Err)
-      *Err = "not a profile store (bad magic)";
-    return false;
-  }
-  Decoder H(Data.data() + sizeof(Magic), Data.size() - sizeof(Magic));
-  uint32_t Version = H.u32();
-  if (Version == 0 || Version > ProfileStoreVersion) {
-    if (Err)
-      *Err = "unsupported profile store version " +
-             std::to_string(Version) + " (reader supports up to " +
-             std::to_string(ProfileStoreVersion) + ")";
-    return false;
-  }
-  uint64_t PayloadLen = H.u64();
-  if (Data.size() != HeaderSize + PayloadLen + 8) {
-    if (Err)
-      *Err = "profile store truncated (header promises " +
-             std::to_string(PayloadLen) + " payload bytes)";
-    return false;
-  }
-  const char *Payload = Data.data() + HeaderSize;
-  uint64_t WantLE = 0;
-  for (int I = 0; I != 8; ++I)
-    WantLE |= static_cast<uint64_t>(static_cast<unsigned char>(
-                  Data[HeaderSize + PayloadLen + I]))
-              << (8 * I);
-  if (fnv1a(Payload, PayloadLen) != WantLE) {
-    if (Err)
-      *Err = "profile store checksum mismatch (corrupt file)";
-    return false;
-  }
-  Decoder D(Payload, PayloadLen);
-  return parsePayload(S, D, Err);
+  return decodeEnvelope(Envelope, Data, Err,
+                        [&](uint32_t, Decoder &D) { parsePayload(S, D); });
 }
 
 bool ipas::obs::readProfileStore(ProfileStore &S, const std::string &Path,
                                  std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "'";
-    return false;
-  }
   std::string Data;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, N);
-  bool ReadOk = !std::ferror(F);
-  std::fclose(F);
-  if (!ReadOk) {
-    if (Err)
-      *Err = "read error on '" + Path + "'";
-    return false;
-  }
-  return parseProfileStore(S, Data, Err);
+  return readFile(Path, Data, Err) && parseProfileStore(S, Data, Err);
 }

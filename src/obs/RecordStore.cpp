@@ -4,16 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// File layout (all integers little-endian):
-//
-//   offset  size  field
-//   0       8     magic "IPASREC\0"
-//   8       4     version (u32, currently 2; v1 files parse too — they
-//                 predate the FunctionMetas section)
-//   12      8     payload length (u64, bytes following this field minus
-//                 the trailing 8-byte checksum)
-//   20      N     payload (see serializePayload)
-//   20+N    8     FNV-1a 64 checksum of the payload bytes
+// File layout: the shared store envelope (obs/BinCodec.h) with magic
+// "IPASREC\0" and version 2; v1 files parse too — they predate the
+// FunctionMetas section.
 //
 // The payload is a flat sequence of fields; strings are u32 length +
 // bytes, vectors are u64 count + elements. Doubles are stored as the
@@ -26,15 +19,13 @@
 
 #include "obs/BinCodec.h"
 
-#include <cstdio>
-#include <cstring>
-
 using namespace ipas;
 using namespace ipas::obs;
 
 namespace {
 
-constexpr char Magic[8] = {'I', 'P', 'A', 'S', 'R', 'E', 'C', '\0'};
+constexpr StoreEnvelope Envelope = {"IPASREC\0", RecordStoreVersion,
+                                     "record store"};
 
 void serializePayload(const RecordStore &S, Encoder &E) {
   E.str(S.ModuleName);
@@ -92,8 +83,7 @@ void serializePayload(const RecordStore &S, Encoder &E) {
   }
 }
 
-bool parsePayload(RecordStore &S, uint32_t Version, Decoder &D,
-                  std::string *Err) {
+void parsePayload(RecordStore &S, uint32_t Version, Decoder &D) {
   S.ModuleName = D.str();
   S.EntryFunction = D.str();
   S.Label = D.str();
@@ -149,17 +139,6 @@ bool parsePayload(RecordStore &S, uint32_t Version, Decoder &D,
       F.Invalidation = D.u8();
     }
   }
-  if (!D.ok()) {
-    if (Err)
-      *Err = "record store payload truncated or corrupt";
-    return false;
-  }
-  if (!D.atEnd()) {
-    if (Err)
-      *Err = "record store payload has trailing bytes";
-    return false;
-  }
-  return true;
 }
 
 } // namespace
@@ -174,101 +153,26 @@ void RecordStore::tallyOutcomes() {
 }
 
 void ipas::obs::serializeRecordStore(const RecordStore &S, std::string &Out) {
-  Out.clear();
-  Out.append(Magic, sizeof(Magic));
-  Encoder Header(Out);
-  Header.u32(RecordStoreVersion);
-  std::string Payload;
-  Encoder E(Payload);
-  serializePayload(S, E);
-  Header.u64(Payload.size());
-  Out.append(Payload);
-  Encoder Footer(Out);
-  Footer.u64(fnv1a(Payload.data(), Payload.size()));
+  encodeEnvelope(Envelope, Out, [&](Encoder &E) { serializePayload(S, E); });
 }
 
 bool ipas::obs::writeRecordStore(const RecordStore &S, const std::string &Path,
                                  std::string *Err) {
   std::string Bytes;
   serializeRecordStore(S, Bytes);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = Written == Bytes.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok && Err)
-    *Err = "short write to '" + Path + "'";
-  return Ok;
+  return writeFileAtomic(Path, Bytes, Err);
 }
 
 bool ipas::obs::parseRecordStore(RecordStore &S, const std::string &Data,
                                  std::string *Err) {
-  // Fixed header: magic + version + payload length.
-  constexpr size_t HeaderSize = sizeof(Magic) + 4 + 8;
-  if (Data.size() < HeaderSize) {
-    if (Err)
-      *Err = "not a record store (file too small)";
-    return false;
-  }
-  if (std::memcmp(Data.data(), Magic, sizeof(Magic)) != 0) {
-    if (Err)
-      *Err = "not a record store (bad magic)";
-    return false;
-  }
-  Decoder H(Data.data() + sizeof(Magic), Data.size() - sizeof(Magic));
-  uint32_t Version = H.u32();
-  if (Version == 0 || Version > RecordStoreVersion) {
-    if (Err)
-      *Err = "unsupported record store version " + std::to_string(Version) +
-             " (reader supports up to " +
-             std::to_string(RecordStoreVersion) + ")";
-    return false;
-  }
-  uint64_t PayloadLen = H.u64();
-  if (Data.size() != HeaderSize + PayloadLen + 8) {
-    if (Err)
-      *Err = "record store truncated (header promises " +
-             std::to_string(PayloadLen) + " payload bytes)";
-    return false;
-  }
-  const char *Payload = Data.data() + HeaderSize;
-  uint64_t WantLE = 0;
-  for (int I = 0; I != 8; ++I)
-    WantLE |= static_cast<uint64_t>(static_cast<unsigned char>(
-                  Data[HeaderSize + PayloadLen + I]))
-              << (8 * I);
-  if (fnv1a(Payload, PayloadLen) != WantLE) {
-    if (Err)
-      *Err = "record store checksum mismatch (corrupt file)";
-    return false;
-  }
-  Decoder D(Payload, PayloadLen);
-  return parsePayload(S, Version, D, Err);
+  return decodeEnvelope(Envelope, Data, Err,
+                        [&](uint32_t Version, Decoder &D) {
+                          parsePayload(S, Version, D);
+                        });
 }
 
 bool ipas::obs::readRecordStore(RecordStore &S, const std::string &Path,
                                 std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "'";
-    return false;
-  }
   std::string Data;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, N);
-  bool ReadOk = !std::ferror(F);
-  std::fclose(F);
-  if (!ReadOk) {
-    if (Err)
-      *Err = "read error on '" + Path + "'";
-    return false;
-  }
-  return parseRecordStore(S, Data, Err);
+  return readFile(Path, Data, Err) && parseRecordStore(S, Data, Err);
 }

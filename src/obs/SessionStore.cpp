@@ -4,15 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// File layout (all integers little-endian):
-//
-//   offset  size  field
-//   0       8     magic "IPASSES\0"
-//   8       4     version (u32, currently 1)
-//   12      8     payload length (u64, bytes following this field minus
-//                 the trailing 8-byte checksum)
-//   20      N     payload (see serializePayload)
-//   20+N    8     FNV-1a 64 checksum of the payload bytes
+// File layout: the shared store envelope (obs/BinCodec.h) with magic
+// "IPASSES\0" and version 1.
 //
 // The payload is a flat sequence of fields; strings are u32 length +
 // bytes, vectors are u64 count + elements. Doubles are stored as the
@@ -25,14 +18,14 @@
 #include "obs/BinCodec.h"
 
 #include <cstdio>
-#include <cstring>
 
 using namespace ipas;
 using namespace ipas::obs;
 
 namespace {
 
-constexpr char Magic[8] = {'I', 'P', 'A', 'S', 'S', 'E', 'S', '\0'};
+constexpr StoreEnvelope Envelope = {"IPASSES\0", SessionStoreVersion,
+                                     "session manifest"};
 
 void serializePayload(const SessionStore &S, Encoder &E) {
   E.str(S.Tool);
@@ -82,8 +75,7 @@ void serializePayload(const SessionStore &S, Encoder &E) {
   }
 }
 
-bool parsePayload(SessionStore &S, uint32_t Version, Decoder &D,
-                  std::string *Err) {
+void parsePayload(SessionStore &S, uint32_t Version, Decoder &D) {
   (void)Version; // Single version so far; kept for the v2 reader.
   S.Tool = D.str();
   S.ModuleName = D.str();
@@ -130,17 +122,6 @@ bool parsePayload(SessionStore &S, uint32_t Version, Decoder &D,
     A.Size = D.u64();
     A.Checksum = D.u64();
   }
-  if (!D.ok()) {
-    if (Err)
-      *Err = "session manifest payload truncated or corrupt";
-    return false;
-  }
-  if (!D.atEnd()) {
-    if (Err)
-      *Err = "session manifest payload has trailing bytes";
-    return false;
-  }
-  return true;
 }
 
 } // namespace
@@ -183,105 +164,29 @@ uint64_t SessionStore::overheadCycles() const {
   return Total;
 }
 
-void ipas::obs::serializeSessionStore(const SessionStore &S,
-                                      std::string &Out) {
-  Out.clear();
-  Out.append(Magic, sizeof(Magic));
-  Encoder Header(Out);
-  Header.u32(SessionStoreVersion);
-  std::string Payload;
-  Encoder E(Payload);
-  serializePayload(S, E);
-  Header.u64(Payload.size());
-  Out.append(Payload);
-  Encoder Footer(Out);
-  Footer.u64(fnv1a(Payload.data(), Payload.size()));
+void ipas::obs::serializeSessionStore(const SessionStore &S, std::string &Out) {
+  encodeEnvelope(Envelope, Out, [&](Encoder &E) { serializePayload(S, E); });
 }
 
 bool ipas::obs::writeSessionStore(const SessionStore &S,
                                   const std::string &Path, std::string *Err) {
   std::string Bytes;
   serializeSessionStore(S, Bytes);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  bool Ok = Written == Bytes.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  if (!Ok && Err)
-    *Err = "short write to '" + Path + "'";
-  return Ok;
+  return writeFileAtomic(Path, Bytes, Err);
 }
 
 bool ipas::obs::parseSessionStore(SessionStore &S, const std::string &Data,
                                   std::string *Err) {
-  // Fixed header: magic + version + payload length.
-  constexpr size_t HeaderSize = sizeof(Magic) + 4 + 8;
-  if (Data.size() < HeaderSize) {
-    if (Err)
-      *Err = "not a session manifest (file too small)";
-    return false;
-  }
-  if (std::memcmp(Data.data(), Magic, sizeof(Magic)) != 0) {
-    if (Err)
-      *Err = "not a session manifest (bad magic)";
-    return false;
-  }
-  Decoder H(Data.data() + sizeof(Magic), Data.size() - sizeof(Magic));
-  uint32_t Version = H.u32();
-  if (Version == 0 || Version > SessionStoreVersion) {
-    if (Err)
-      *Err = "unsupported session manifest version " +
-             std::to_string(Version) + " (reader supports up to " +
-             std::to_string(SessionStoreVersion) + ")";
-    return false;
-  }
-  uint64_t PayloadLen = H.u64();
-  if (Data.size() != HeaderSize + PayloadLen + 8) {
-    if (Err)
-      *Err = "session manifest truncated (header promises " +
-             std::to_string(PayloadLen) + " payload bytes)";
-    return false;
-  }
-  const char *Payload = Data.data() + HeaderSize;
-  uint64_t WantLE = 0;
-  for (int I = 0; I != 8; ++I)
-    WantLE |= static_cast<uint64_t>(static_cast<unsigned char>(
-                  Data[HeaderSize + PayloadLen + I]))
-              << (8 * I);
-  if (fnv1a(Payload, PayloadLen) != WantLE) {
-    if (Err)
-      *Err = "session manifest checksum mismatch (corrupt file)";
-    return false;
-  }
-  Decoder D(Payload, PayloadLen);
-  return parsePayload(S, Version, D, Err);
+  return decodeEnvelope(Envelope, Data, Err,
+                        [&](uint32_t Version, Decoder &D) {
+                          parsePayload(S, Version, D);
+                        });
 }
 
 bool ipas::obs::readSessionStore(SessionStore &S, const std::string &Path,
                                  std::string *Err) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    if (Err)
-      *Err = "cannot open '" + Path + "'";
-    return false;
-  }
   std::string Data;
-  char Buf[1 << 16];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Data.append(Buf, N);
-  bool ReadOk = !std::ferror(F);
-  std::fclose(F);
-  if (!ReadOk) {
-    if (Err)
-      *Err = "read error on '" + Path + "'";
-    return false;
-  }
-  return parseSessionStore(S, Data, Err);
+  return readFile(Path, Data, Err) && parseSessionStore(S, Data, Err);
 }
 
 bool ipas::obs::checksumFile(const std::string &Path, uint64_t &Size,
@@ -297,10 +202,7 @@ bool ipas::obs::checksumFile(const std::string &Path, uint64_t &Size,
   char Buf[1 << 16];
   size_t N;
   while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0) {
-    for (size_t I = 0; I != N; ++I) {
-      H ^= static_cast<unsigned char>(Buf[I]);
-      H *= FnvPrime;
-    }
+    H = fnv1a(Buf, N, H);
     Total += N;
   }
   bool ReadOk = !std::ferror(F);
