@@ -308,10 +308,11 @@ int checkStall(const Monitor &M, int64_t StallFactor) {
 
 /// --selftest-tail writer: appends a synthetic campaign to \p Path on a
 /// few-ms cadence, mimicking the TraceSink JSONL shapes exactly. The
-/// follow loop in main() consumes it concurrently.
+/// follow loop in main() consumes it concurrently. main() truncates
+/// \p Path before this starts, so the writer only appends.
 void selftestWriter(const std::string &Path, uint64_t Runs,
                     uint64_t BeatMs) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  std::ofstream Out(Path, std::ios::binary | std::ios::app);
   auto Sleep = [&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(BeatMs));
   };
@@ -404,6 +405,13 @@ int main(int Argc, char **Argv) {
     if (!MaxWaitMs)
       MaxWaitMs = 10000;
     NoClear = true;
+    // Empty the file before the tailer first reads it: a trace left by
+    // an earlier run would otherwise be read whole as a finished
+    // campaign before the writer thread got round to truncating it.
+    if (!std::ofstream(Path, std::ios::binary | std::ios::trunc)) {
+      std::fprintf(stderr, "ipas-top: cannot create '%s'\n", Path.c_str());
+      return 2;
+    }
     Writer = std::thread(selftestWriter, Path, uint64_t{200}, uint64_t{20});
   }
 
