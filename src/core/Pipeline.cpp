@@ -105,8 +105,8 @@ void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
                          const std::string &Label) {
   WorkloadHarness Harness(W, Cfg.InputLevel);
   // Counting-mode profiling runs natively on either backend, so the
-  // profiled clean run honors the pipeline's backend choice the same
-  // way its campaigns do (a no-op for harnesses without a VM path).
+  // profiled clean runs honor the pipeline's backend choice the same
+  // way its campaigns do.
   Harness.setPreferredBackend(Cfg.Backend);
   CostProfiler Prof(*PM.Layout, CostProfiler::Mode::Counting);
   ProfileBuildInputs In;

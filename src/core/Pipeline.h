@@ -69,10 +69,13 @@ struct PipelineConfig {
   /// ipas-db ingests into a cross-run history. The directory must
   /// already exist. See docs/OBSERVABILITY.md.
   std::string SessionDir;
-  /// Execution engine for the training and evaluation campaigns
-  /// (CampaignConfig::Backend). The VM is observably equivalent and
-  /// 10-100x faster; the default stays on the reference interpreter.
-  ExecBackend Backend = ExecBackend::Interp;
+  /// Execution engine for the training and evaluation campaigns and the
+  /// counting-mode variant profiles (CampaignConfig::Backend). The VM is
+  /// observably equivalent — identical record streams, goldens and
+  /// profiles — and several times faster on the workloads, so it is the
+  /// default; runs it cannot take (value-step traces, propagation
+  /// re-execution) fall back to the interpreter per run.
+  ExecBackend Backend = ExecBackend::Vm;
   /// When nonzero, every evaluation campaign also traces fault
   /// propagation for 1-in-N injections (CampaignConfig::PropSampleEvery).
   /// Sampling never perturbs the deterministic record stream; it only

@@ -6,166 +6,44 @@
 
 #include "fault/FunctionHarness.h"
 
-#include "interp/CostProfiler.h"
-#include "ir/Module.h"
-
 using namespace ipas;
 
-ExecutionRecord FunctionHarness::execute(const ModuleLayout &Layout,
-                                         const FaultPlan *Plan,
-                                         uint64_t StepBudget) {
-  if (Backend == ExecBackend::Vm) {
-    if (vmProgram(Layout))
-      return runOnceVm(Layout, Plan, StepBudget);
-    ExecutionRecord R = runOnce(Layout, Plan, StepBudget, nullptr);
-    R.FallbackReason = noteVmFallback("compile");
-    return R;
-  }
-  return runOnce(Layout, Plan, StepBudget, nullptr);
+namespace {
+
+ProgramExecutor::Config entryConfig(std::string Entry,
+                                    std::vector<RtValue> Args) {
+  ProgramExecutor::Config Cfg;
+  Cfg.Entry = std::move(Entry);
+  Cfg.Args = std::move(Args);
+  return Cfg;
 }
 
-const vm::VmProgram *FunctionHarness::vmProgram(const ModuleLayout &Layout) {
-  std::lock_guard<std::mutex> Lock(VmMutex);
-  if (VmLayout != &Layout) {
-    VmLayout = &Layout;
-    VmPool.clear();
-    VmProg = vm::compile(Layout);
-    if (VmProg) {
-      VmEntryIndex = VmProg->indexOf(Entry);
-      if (VmEntryIndex == UINT32_MAX)
-        VmProg.reset(); // entry missing: fall back to the interpreter
-    }
-  }
-  return VmProg.get();
-}
+} // namespace
 
-ExecutionRecord FunctionHarness::runOnceVm(const ModuleLayout &Layout,
-                                           const FaultPlan *Plan,
-                                           uint64_t StepBudget,
-                                           const ProfileHook *Hook) {
-  (void)Layout; // already baked into VmProg by vmProgram()
-  // Borrow a context from the pool (one per concurrently running
-  // thread); contexts are reusable because run() fully resets them.
-  std::unique_ptr<vm::VmContext> Ctx;
-  {
-    std::lock_guard<std::mutex> Lock(VmMutex);
-    if (!VmPool.empty()) {
-      Ctx = std::move(VmPool.back());
-      VmPool.pop_back();
-    }
-  }
-  if (!Ctx)
-    Ctx = std::make_unique<vm::VmContext>(*VmProg);
+FunctionHarness::FunctionHarness(std::string EntryName,
+                                 std::vector<RtValue> Args)
+    : Exec(entryConfig(std::move(EntryName), std::move(Args))) {}
 
-  vm::VmContext::Result V =
-      Ctx->run(VmEntryIndex, Args, Plan, StepBudget, Hook);
-
-  ExecutionRecord R;
-  R.BackendUsed = ExecBackend::Vm;
-  R.Status = V.Status;
-  R.Trap = V.Trap;
-  R.Steps = V.Steps;
-  R.ValueSteps = V.ValueSteps;
-  R.FaultInjected = V.FaultInjected;
-  R.FaultedInstructionId = V.FaultedInstructionId;
-  if (V.Status == RunStatus::Finished) {
-    uint64_t Bits = V.ReturnValue.Bits;
+ExecutionRecord FunctionHarness::verify(const ProgramExecutor::Run &R) {
+  ExecutionRecord Rec = R.Rec;
+  if (Rec.Status == RunStatus::Finished) {
+    uint64_t Bits = R.ReturnValue.Bits;
     if (!HaveGolden) {
       GoldenBits = Bits;
       HaveGolden = true;
-      R.OutputValid = true;
+      Rec.OutputValid = true;
     } else {
-      R.OutputValid = Bits == GoldenBits;
+      Rec.OutputValid = Bits == GoldenBits;
     }
   }
-
-  {
-    std::lock_guard<std::mutex> Lock(VmMutex);
-    VmPool.push_back(std::move(Ctx));
-  }
-  return R;
-}
-
-ExecutionRecord FunctionHarness::executeObserved(const ModuleLayout &Layout,
-                                                 const FaultPlan *Plan,
-                                                 uint64_t StepBudget,
-                                                 ExecObserver &Obs) {
-  ExecutionRecord R = runOnce(Layout, Plan, StepBudget, &Obs);
-  if (Backend == ExecBackend::Vm)
-    R.FallbackReason = noteVmFallback("observer");
-  return R;
-}
-
-ExecutionRecord FunctionHarness::executeProfiled(const ModuleLayout &Layout,
-                                                 CostProfiler &Prof) {
-  // Counting-mode profiling runs natively in the VM dispatch loop —
-  // counts and stream hashes land in the profiler's own buffers, bit-
-  // identical to the interpreter hook. Context mode needs the
-  // interpreter's call/return observer and falls back.
-  if (Backend == ExecBackend::Vm) {
-    if (Prof.mode() != CostProfiler::Mode::Counting) {
-      ExecutionRecord R = runOnce(Layout, nullptr, UINT64_MAX, nullptr, &Prof);
-      R.FallbackReason = noteVmFallback("profile_context");
-      return R;
-    }
-    if (vmProgram(Layout)) {
-      ProfileHook Hook =
-          Prof.countingHook(Layout.module().getFunction(Entry));
-      return runOnceVm(Layout, nullptr, UINT64_MAX, &Hook);
-    }
-    ExecutionRecord R = runOnce(Layout, nullptr, UINT64_MAX, nullptr, &Prof);
-    R.FallbackReason = noteVmFallback("compile");
-    return R;
-  }
-  return runOnce(Layout, nullptr, UINT64_MAX, nullptr, &Prof);
-}
-
-ExecutionRecord FunctionHarness::runOnce(const ModuleLayout &Layout,
-                                         const FaultPlan *Plan,
-                                         uint64_t StepBudget,
-                                         ExecObserver *Obs,
-                                         CostProfiler *Prof) {
-  ExecutionContext Ctx(Layout);
-  if (Plan)
-    Ctx.setFaultPlan(*Plan);
-  if (Obs)
-    Ctx.setObserver(Obs);
-  const Function *F = Layout.module().getFunction(Entry);
-  assert(F && "harness entry function not found");
-  if (Prof)
-    Prof->attach(Ctx, F); // arms site counts (+observer when needed)
-  Ctx.start(F, Args);
-  RunStatus S = Ctx.run(StepBudget);
-
-  ExecutionRecord R;
-  R.Status = S;
-  R.Trap = Ctx.trap();
-  R.Steps = Ctx.steps();
-  R.ValueSteps = Ctx.valueSteps();
-  R.FaultInjected = Ctx.faultWasInjected();
-  R.FaultedInstructionId = Ctx.faultedInstructionId();
-  if (S == RunStatus::Finished) {
-    uint64_t Bits = Ctx.returnValue().Bits;
-    if (!HaveGolden) {
-      GoldenBits = Bits;
-      HaveGolden = true;
-      R.OutputValid = true;
-    } else {
-      R.OutputValid = Bits == GoldenBits;
-    }
-  }
-  return R;
+  return Rec;
 }
 
 std::vector<unsigned>
 FunctionHarness::traceValueSteps(const ModuleLayout &Layout) {
-  if (Backend == ExecBackend::Vm)
-    noteVmFallback("trace"); // value-step traces are interpreter-only
   std::vector<unsigned> Trace;
-  ExecutionContext Ctx(Layout);
-  Ctx.setValueStepTrace(&Trace);
-  Ctx.start(Layout.module().getFunction(Entry), Args);
-  if (Ctx.run(UINT64_MAX) != RunStatus::Finished)
+  if (Exec.run(Layout, nullptr, UINT64_MAX, {.Trace = &Trace}).Rec.Status !=
+      RunStatus::Finished)
     Trace.clear(); // tracing failed: disable pruning rather than misprune
   return Trace;
 }

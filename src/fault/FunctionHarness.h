@@ -17,11 +17,8 @@
 #ifndef IPAS_FAULT_FUNCTIONHARNESS_H
 #define IPAS_FAULT_FUNCTIONHARNESS_H
 
-#include "fault/ProgramHarness.h"
-#include "vm/VM.h"
+#include "fault/ProgramExecutor.h"
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -31,58 +28,40 @@ class FunctionHarness : public ProgramHarness {
 public:
   /// Drives \p EntryName(Args...). The entry must return a value (the
   /// campaign's correctness oracle is the returned bit pattern).
-  FunctionHarness(std::string EntryName, std::vector<RtValue> Args)
-      : Entry(std::move(EntryName)), Args(std::move(Args)) {}
+  FunctionHarness(std::string EntryName, std::vector<RtValue> Args);
 
-  /// Vm routes plain execute() calls — and counting-mode profiled runs —
-  /// through the bytecode VM when the module compiles (lazily, once per
-  /// layout); otherwise every run falls back to the interpreter and is
-  /// tagged with its vm.fallback.<reason>. Observed, context-profiled
-  /// and value-step-traced runs stay on the interpreter either way.
-  void setPreferredBackend(ExecBackend B) override { Backend = B; }
+  /// See ProgramExecutor::setBackend.
+  void setPreferredBackend(ExecBackend B) override { Exec.setBackend(B); }
 
   ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override;
+                          uint64_t StepBudget) override {
+    return verify(Exec.run(Layout, Plan, StepBudget));
+  }
 
   std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) override;
 
   bool supportsObservation() const override { return true; }
   ExecutionRecord executeObserved(const ModuleLayout &Layout,
                                   const FaultPlan *Plan, uint64_t StepBudget,
-                                  ExecObserver &Obs) override;
+                                  ExecObserver &Obs) override {
+    return verify(Exec.run(Layout, Plan, StepBudget, {.Obs = &Obs}));
+  }
 
   bool supportsProfiling() const override { return true; }
   ExecutionRecord executeProfiled(const ModuleLayout &Layout,
-                                  CostProfiler &Prof) override;
+                                  CostProfiler &Prof) override {
+    return verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof}));
+  }
 
 private:
-  ExecutionRecord runOnce(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget, ExecObserver *Obs,
-                          CostProfiler *Prof = nullptr);
-  ExecutionRecord runOnceVm(const ModuleLayout &Layout, const FaultPlan *Plan,
-                            uint64_t StepBudget,
-                            const ProfileHook *Hook = nullptr);
-  /// Compiles (once) and returns the bytecode program for \p Layout, or
-  /// null when the module does not compile — callers then fall back to
-  /// the interpreter. Thread-safe, but the first call for a layout must
-  /// happen before concurrent runs begin (runCampaign's serial clean run
-  /// guarantees this).
-  const vm::VmProgram *vmProgram(const ModuleLayout &Layout);
+  /// The return-bits check: the first finished run's bits become the
+  /// golden reference (runCampaign's serial clean run), later runs must
+  /// match them exactly.
+  ExecutionRecord verify(const ProgramExecutor::Run &R);
 
-  std::string Entry;
-  std::vector<RtValue> Args;
-  ExecBackend Backend = ExecBackend::Interp;
-  // Golden return bits, captured on the first clean run (runCampaign's
-  // serial profiling run) and only read by the threaded injection runs.
+  ProgramExecutor Exec;
   bool HaveGolden = false;
   uint64_t GoldenBits = 0;
-  // Lazily compiled bytecode, keyed on the layout it was built from,
-  // plus a pool of reusable per-thread execution contexts.
-  std::mutex VmMutex;
-  const ModuleLayout *VmLayout = nullptr;
-  std::unique_ptr<vm::VmProgram> VmProg;
-  uint32_t VmEntryIndex = 0;
-  std::vector<std::unique_ptr<vm::VmContext>> VmPool;
 };
 
 } // namespace ipas

@@ -1,0 +1,130 @@
+//===- fault/ProgramExecutor.h - Backend-neutral run execution ------------===//
+//
+// Part of the IPAS reproduction. Distributed under the MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one place that knows how a harness run executes. A harness
+/// supplies data — entry function, arguments, memory sizing, an optional
+/// host-allocated output region — plus its verification routine; the
+/// executor picks the engine (reference interpreter or bytecode VM),
+/// compiles bytecode lazily once per layout, pools VM contexts across
+/// runs and threads, and tags every run the VM hands back to the
+/// interpreter with its vm.fallback.<reason>.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef IPAS_FAULT_PROGRAMEXECUTOR_H
+#define IPAS_FAULT_PROGRAMEXECUTOR_H
+
+#include "fault/ProgramHarness.h"
+
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
+
+namespace ipas {
+
+namespace vm {
+struct VmProgram;
+class VmContext;
+} // namespace vm
+
+/// Bounds-checked readback of \p Slots 8-byte values at \p Addr from
+/// either engine's memory (interp Memory and vm::VmArena share the
+/// validRange/read64 interface and the address layout); empty when the
+/// range is not valid memory.
+template <class MemoryT>
+std::vector<RtValue> readOutputSlots(const MemoryT &Mem, uint64_t Addr,
+                                     uint64_t Slots) {
+  std::vector<RtValue> Out;
+  if (!Mem.validRange(Addr, Slots * 8))
+    return Out;
+  Out.reserve(Slots);
+  for (uint64_t K = 0; K != Slots; ++K)
+    Out.push_back(RtValue{Mem.read64(Addr + K * 8)});
+  return Out;
+}
+
+class ProgramExecutor {
+public:
+  struct Config {
+    std::string Entry;
+    std::vector<RtValue> Args;
+    Memory::Config Mem;
+    uint64_t WorkloadRngSeed = 0x1234abcd;
+    /// When nonzero, every run host-allocates this many 8-byte slots
+    /// right after memory reset, passes their address as the entry's
+    /// last argument, and reads them back after a finished run.
+    uint64_t OutputSlots = 0;
+  };
+
+  /// Optional per-run instruments. An observer, a value-step trace or a
+  /// context-mode profiler pins the run to the interpreter; a
+  /// counting-mode profiler runs natively on either engine.
+  struct Instruments {
+    ExecObserver *Obs = nullptr;
+    CostProfiler *Prof = nullptr;
+    std::vector<unsigned> *Trace = nullptr;
+  };
+
+  /// One run, before verification (Rec.OutputValid is left false).
+  struct Run {
+    ExecutionRecord Rec;
+    RtValue ReturnValue;
+    /// The output slots after a finished run; empty when there are none
+    /// or a faulted run left their address outside valid memory.
+    std::vector<RtValue> Output;
+  };
+
+  explicit ProgramExecutor(Config Cfg);
+  ~ProgramExecutor();
+
+  /// Vm routes runs through the bytecode VM when the module compiles;
+  /// otherwise, and for runs whose instruments need the interpreter,
+  /// the run falls back and is tagged with its reason.
+  void setBackend(ExecBackend B) { Backend = B; }
+  ExecBackend backend() const { return Backend; }
+
+  /// Executes the entry once under \p Plan (null = clean) within
+  /// \p StepBudget steps. A run that cannot start — missing entry,
+  /// wrong arity, output region larger than the heap — comes back
+  /// Trapped (BadEntry / OutOfMemory) on either engine, so a caller's
+  /// clean-run check refuses it. Thread-safe once the first run for
+  /// \p Layout has returned (runCampaign's serial clean run ensures
+  /// this before the injection threads start).
+  Run run(const ModuleLayout &Layout, const FaultPlan *Plan,
+          uint64_t StepBudget, const Instruments &With);
+  Run run(const ModuleLayout &Layout, const FaultPlan *Plan,
+          uint64_t StepBudget) {
+    return run(Layout, Plan, StepBudget, Instruments());
+  }
+
+  /// The record of a run that could not start.
+  static ExecutionRecord failedRun(TrapKind Trap);
+
+private:
+  Run runInterp(const ModuleLayout &Layout, const Function *Entry,
+                const FaultPlan *Plan, uint64_t StepBudget,
+                const Instruments &With);
+  Run runVm(std::unique_ptr<vm::VmContext> Ctx, const Function *Entry,
+            const FaultPlan *Plan, uint64_t StepBudget, CostProfiler *Prof);
+  /// Compiles \p Layout on first use (recompiling when the layout
+  /// changes) and lends out a pooled context; null when the module does
+  /// not compile to bytecode.
+  std::unique_ptr<vm::VmContext> acquireVm(const ModuleLayout &Layout);
+
+  const Config Cfg;
+  ExecBackend Backend = ExecBackend::Interp;
+  std::mutex VmMutex;
+  uint64_t VmLayoutId = 0; ///< ModuleLayout::id() VmProg was built from.
+  std::unique_ptr<vm::VmProgram> VmProg;
+  uint32_t VmEntryIndex = 0;
+  std::vector<std::unique_ptr<vm::VmContext>> VmPool;
+};
+
+} // namespace ipas
+
+#endif // IPAS_FAULT_PROGRAMEXECUTOR_H

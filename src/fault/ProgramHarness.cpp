@@ -27,6 +27,7 @@ const char *ipas::noteVmFallback(const char *Reason) {
   static obs::Counter &ProfileContext =
       Reg.counter("vm.fallback.profile_context");
   static obs::Counter &Trace = Reg.counter("vm.fallback.trace");
+  static obs::Counter &Mpi = Reg.counter("vm.fallback.mpi");
   static obs::Counter &Other = Reg.counter("vm.fallback.other");
   if (std::strcmp(Reason, "compile") == 0)
     Compile.inc();
@@ -36,6 +37,8 @@ const char *ipas::noteVmFallback(const char *Reason) {
     ProfileContext.inc();
   else if (std::strcmp(Reason, "trace") == 0)
     Trace.inc();
+  else if (std::strcmp(Reason, "mpi") == 0)
+    Mpi.inc();
   else
     Other.inc();
   return Reason;

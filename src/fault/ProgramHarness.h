@@ -58,20 +58,24 @@ struct ExecutionRecord {
 /// count the fallback in one expression. Reasons in use: "compile"
 /// (module/entry does not compile to bytecode), "observer" (run needs
 /// an interpreter observer), "profile_context" (context-mode profiling),
-/// "trace" (value-step tracing).
+/// "trace" (value-step tracing), "mpi" (multi-rank SimMPI run); anything
+/// else counts as "other".
 const char *noteVmFallback(const char *Reason);
 
 /// One program + input + verification routine, executable under fault
-/// injection. Implementations live in src/workloads.
+/// injection. FunctionHarness (fault/) and WorkloadHarness (workloads/)
+/// supply data and verification and run through one ProgramExecutor.
 class ProgramHarness {
 public:
   virtual ~ProgramHarness() = default;
 
-  /// Requests an execution backend for subsequent execute() calls. A
-  /// harness that cannot honor the request (no VM support, or the
-  /// module does not compile to bytecode) silently keeps using the
-  /// interpreter — the backends are observably equivalent, so this is
-  /// purely a throughput hint. The default ignores it.
+  /// Requests an execution backend for subsequent runs. The backends
+  /// are observably equivalent, so this is purely a throughput hint: a
+  /// run the VM cannot take (module does not compile to bytecode, or the
+  /// run needs an interpreter observer, a value-step trace, context
+  /// profiling or SimMPI) executes on the interpreter and is tagged with
+  /// its fallback reason. FunctionHarness and WorkloadHarness honor it;
+  /// the default ignores it.
   virtual void setPreferredBackend(ExecBackend Backend) { (void)Backend; }
 
   /// Executes once. \p Plan may be null (clean run). \p StepBudget bounds

@@ -9,6 +9,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <atomic>
 #include <cmath>
 
 using namespace ipas;
@@ -86,6 +87,8 @@ const char *ipas::trapKindName(TrapKind K) {
     return "call depth exceeded";
   case TrapKind::MpiMismatch:
     return "mismatched MPI collective";
+  case TrapKind::BadEntry:
+    return "missing or mismatched entry function";
   }
   return "<bad trap>";
 }
@@ -94,7 +97,12 @@ const char *ipas::trapKindName(TrapKind K) {
 // ModuleLayout
 //===----------------------------------------------------------------------===//
 
-ModuleLayout::ModuleLayout(const Module &M) : M(M) {
+static uint64_t nextLayoutId() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
+
+ModuleLayout::ModuleLayout(const Module &M) : M(M), Id(nextLayoutId()) {
   InstSlot.assign(M.numInstructions(), 0);
   for (Function *F : M) {
     unsigned Next = F->numArgs();

@@ -50,6 +50,10 @@ enum class TrapKind : uint8_t {
   StackOverflow,
   CallDepthExceeded,
   MpiMismatch, ///< Ranks disagreed on the collective being executed.
+  /// The harness could not start the run: the entry function is missing
+  /// or does not take the harness's arguments. Never raised by a
+  /// running program.
+  BadEntry,
 };
 
 const char *runStatusName(RunStatus S);
@@ -83,9 +87,14 @@ public:
     return FrameSlots.at(F);
   }
   size_t numInstructions() const { return InstSlot.size(); }
+  /// Process-unique identity, never reused (unlike the layout's address,
+  /// which a later layout may occupy): what caches derived from a layout,
+  /// such as compiled bytecode, are keyed on.
+  uint64_t id() const { return Id; }
 
 private:
   const Module &M;
+  uint64_t Id;
   std::vector<unsigned> InstSlot;
   std::map<const Function *, unsigned> FrameSlots;
 };

@@ -18,6 +18,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace ipas;
 using namespace ipas::vm;
@@ -62,6 +65,29 @@ inline void foldCommitHash(uint64_t *FnHashes, const uint32_t *IdToFn,
 }
 
 } // namespace
+
+VmArena::VmArena(const Memory::Config &Cfg)
+    : FirstValid(Memory::GuardBytes),
+      Limit(Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes),
+      StackBase(Memory::GuardBytes), StackLimit(StackBase + Cfg.StackBytes),
+      StackPtr(StackBase), HeapBase(StackLimit), HeapPtr(HeapBase),
+      DirtyLo(Limit), DirtyHi(FirstValid),
+      Data(static_cast<uint8_t *>(
+          mmap(nullptr, Limit, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0))) {
+  if (Data == MAP_FAILED)
+    throw std::bad_alloc();
+}
+
+VmArena::~VmArena() { munmap(Data, Limit); }
+
+uint64_t VmContext::hostAlloc(uint64_t Slots) {
+  if (!HostAllocated) {
+    Arena.reset();
+    HostAllocated = true;
+  }
+  return Arena.mallocBytes(Slots * 8);
+}
 
 VmContext::VmContext(const VmProgram &Prog, const Config &C)
     : P(Prog), Cfg(C), Arena(C.Mem), WorkloadRng(C.WorkloadRngSeed) {
@@ -157,7 +183,9 @@ VmContext::Result VmContext::runImpl(uint32_t FnIndex,
                                      const FaultPlan *Plan, uint64_t MaxSteps,
                                      const ProfileHook *Prof) {
   Result Res;
-  Arena.reset();
+  if (!HostAllocated)
+    Arena.reset();
+  HostAllocated = false;
   WorkloadRng.reseed(Cfg.WorkloadRngSeed);
   Frames.clear();
 

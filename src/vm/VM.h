@@ -14,8 +14,8 @@
 /// ProfileHook is armed, counting-mode profiling (per-site counts and
 /// per-function stream hashes, bit-identical to the interpreter's).
 /// Anything it cannot express (observers, value-step traces,
-/// multi-rank MPI) stays on the interpreter — the harness falls back
-/// per run and tags the record with a vm.fallback reason.
+/// multi-rank MPI) stays on the interpreter — fault/ProgramExecutor.h
+/// falls back per run and tags the record with a vm.fallback reason.
 ///
 /// Two things make it fast:
 ///  - threaded dispatch over flat pre-decoded instructions with all
@@ -35,6 +35,7 @@
 #include "vm/Bytecode.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 namespace ipas {
@@ -48,24 +49,19 @@ namespace vm {
 /// campaign runs cheap.
 class VmArena {
 public:
-  explicit VmArena(const Memory::Config &Cfg)
-      : Data(Memory::GuardBytes + Cfg.StackBytes + Cfg.HeapBytes, 0),
-        FirstValid(Memory::GuardBytes),
-        Limit(Data.size()),
-        StackBase(Memory::GuardBytes),
-        StackLimit(StackBase + Cfg.StackBytes),
-        StackPtr(StackBase),
-        HeapBase(StackLimit),
-        HeapPtr(HeapBase),
-        DirtyLo(Limit),
-        DirtyHi(FirstValid) {}
+  /// Maps the arena as anonymous private memory: the kernel supplies
+  /// zero pages on first touch, so an idle pooled arena stays resident
+  /// only for the pages its runs actually wrote.
+  explicit VmArena(const Memory::Config &Cfg);
+  ~VmArena();
+  VmArena(const VmArena &) = delete;
+  VmArena &operator=(const VmArena &) = delete;
 
   /// Rewinds both allocators and re-zeroes every byte written since the
   /// last reset, restoring the freshly-constructed state.
   void reset() {
     if (DirtyHi > DirtyLo)
-      std::fill(Data.begin() + static_cast<ptrdiff_t>(DirtyLo),
-                Data.begin() + static_cast<ptrdiff_t>(DirtyHi), uint8_t(0));
+      std::memset(Data + DirtyLo, 0, DirtyHi - DirtyLo);
     DirtyLo = Limit;
     DirtyHi = FirstValid;
     StackPtr = StackBase;
@@ -101,32 +97,32 @@ public:
 
   uint64_t read64(uint64_t Addr) const {
     uint64_t V;
-    std::memcpy(&V, &Data[Addr], sizeof(V));
+    std::memcpy(&V, Data + Addr, sizeof(V));
     return V;
   }
 
   /// Unchecked 8-byte store; tracks the dirty span (a faulted pointer
   /// can write anywhere inside the valid range, so every store counts).
   void write64(uint64_t Addr, uint64_t V) {
-    std::memcpy(&Data[Addr], &V, sizeof(V));
+    std::memcpy(Data + Addr, &V, sizeof(V));
     DirtyLo = std::min(DirtyLo, Addr);
     DirtyHi = std::max(DirtyHi, Addr + 8);
   }
 
 private:
-  std::vector<uint8_t> Data;
   uint64_t FirstValid;
   uint64_t Limit;
   uint64_t StackBase, StackLimit, StackPtr;
   uint64_t HeapBase, HeapPtr;
   uint64_t DirtyLo, DirtyHi;
+  uint8_t *Data; ///< Limit bytes, mapped by the constructor.
 };
 
 /// Reusable execution state for one VmProgram: arena, register stack and
 /// frame stack. run() fully resets the context, so one VmContext can
 /// serve thousands of campaign runs back to back; it is not
-/// thread-safe — use one context per thread (FunctionHarness keeps a
-/// pool).
+/// thread-safe — use one context per thread (fault/ProgramExecutor.h
+/// keeps a pool).
 class VmContext {
 public:
   struct Config {
@@ -167,6 +163,18 @@ public:
              const FaultPlan *Plan, uint64_t MaxSteps,
              const ProfileHook *Prof = nullptr);
 
+  /// Host-side heap allocation for I/O buffers shared with the next
+  /// run (ExecutionContext::hostAlloc). The first allocation after a
+  /// run resets the arena and the next run() keeps it, so the address is
+  /// exactly the one a freshly constructed interpreter context returns —
+  /// a flipped pointer bit then gets the same bounds verdict on either
+  /// backend. Returns 0 when the heap is exhausted.
+  uint64_t hostAlloc(uint64_t Slots);
+
+  /// The arena as the last run left it, for bounds-checked output
+  /// readback (validRange() before read64()).
+  const VmArena &memory() const { return Arena; }
+
 private:
   /// Dispatch-loop instantiation selector: profiling off, site counts
   /// only, or site counts + per-commit hash folds. Counting-only gets
@@ -201,6 +209,8 @@ private:
   const VmProgram &P;
   Config Cfg;
   VmArena Arena;
+  /// True between hostAlloc() and the run() that consumes it.
+  bool HostAllocated = false;
   std::vector<uint64_t> RegStack;
   std::vector<VmFrame> Frames;
   Rng WorkloadRng;

@@ -6,27 +6,34 @@
 
 #include "workloads/WorkloadHarness.h"
 
-#include "interp/CostProfiler.h"
-
-#include <cstdio>
-#include <cstdlib>
+#include "ir/Module.h"
 
 using namespace ipas;
 
-/// Reads \p Slots 8-byte values starting at \p Addr.
-static std::vector<RtValue> readOutput(const Memory &Mem, uint64_t Addr,
-                                       uint64_t Slots) {
-  std::vector<RtValue> Out;
-  if (!Mem.validRange(Addr, Slots * 8))
-    return Out; // leaves Out empty; caller treats as invalid
-  Out.reserve(Slots);
-  for (uint64_t K = 0; K != Slots; ++K) {
-    RtValue V;
-    V.Bits = Mem.read64(Addr + K * 8);
-    Out.push_back(V);
-  }
-  return Out;
+namespace {
+
+/// A workload run: run(<params...>, double* out) with the output region
+/// host-allocated in the workload's memory configuration.
+ProgramExecutor::Config serialConfig(const Workload &W,
+                                     const std::vector<int64_t> &Params,
+                                     uint64_t WorkloadSeed) {
+  ProgramExecutor::Config Cfg;
+  Cfg.Entry = Workload::EntryName;
+  for (int64_t P : Params)
+    Cfg.Args.push_back(RtValue::fromI64(P));
+  Cfg.Mem = W.memoryConfig(Params);
+  Cfg.WorkloadRngSeed = WorkloadSeed;
+  Cfg.OutputSlots = W.outputSlots(Params);
+  return Cfg;
 }
+
+} // namespace
+
+WorkloadHarness::WorkloadHarness(const Workload &W, int InputLevel,
+                                 int NumRanks, uint64_t WorkloadSeed)
+    : W(W), Params(W.inputParams(InputLevel)), NumRanks(NumRanks),
+      WorkloadSeed(WorkloadSeed),
+      Exec(serialConfig(W, Params, WorkloadSeed)) {}
 
 bool WorkloadHarness::verifyAgainstGolden(
     const std::vector<RtValue> &Output) {
@@ -43,11 +50,18 @@ bool WorkloadHarness::verifyAgainstGolden(
   return W.verify(Output, Golden, Params);
 }
 
+ExecutionRecord WorkloadHarness::verify(const ProgramExecutor::Run &R) {
+  ExecutionRecord Rec = R.Rec;
+  if (Rec.Status == RunStatus::Finished)
+    Rec.OutputValid = verifyAgainstGolden(R.Output);
+  return Rec;
+}
+
 ExecutionRecord WorkloadHarness::execute(const ModuleLayout &Layout,
                                          const FaultPlan *Plan,
                                          uint64_t StepBudget) {
   if (NumRanks <= 1)
-    return executeSerial(Layout, Plan, StepBudget);
+    return verify(Exec.run(Layout, Plan, StepBudget));
   assert(!Plan && "fault injection into parallel jobs is driven per-rank "
                   "via MpiJob directly (coverage campaigns are serial)");
   return executeParallel(Layout, StepBudget);
@@ -58,7 +72,8 @@ WorkloadHarness::traceValueSteps(const ModuleLayout &Layout) {
   assert(NumRanks <= 1 &&
          "value-step tracing is defined for serial runs only");
   std::vector<unsigned> Trace;
-  ExecutionRecord R = executeSerial(Layout, nullptr, UINT64_MAX, &Trace);
+  ExecutionRecord R =
+      verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Trace = &Trace}));
   if (R.Status != RunStatus::Finished)
     return {}; // broken program; let the campaign driver notice normally
   return Trace;
@@ -70,71 +85,27 @@ ExecutionRecord WorkloadHarness::executeObserved(const ModuleLayout &Layout,
                                                  ExecObserver &Obs) {
   assert(NumRanks <= 1 &&
          "propagation tracing is defined for serial runs only");
-  return executeSerial(Layout, Plan, StepBudget, nullptr, &Obs);
+  return verify(Exec.run(Layout, Plan, StepBudget, {.Obs = &Obs}));
 }
 
 ExecutionRecord WorkloadHarness::executeProfiled(const ModuleLayout &Layout,
                                                  CostProfiler &Prof) {
   assert(NumRanks <= 1 && "cost profiling is defined for serial runs only");
-  return executeSerial(Layout, nullptr, UINT64_MAX, nullptr, nullptr, &Prof);
-}
-
-ExecutionRecord WorkloadHarness::executeSerial(const ModuleLayout &Layout,
-                                               const FaultPlan *Plan,
-                                               uint64_t StepBudget,
-                                               std::vector<unsigned> *Trace,
-                                               ExecObserver *Obs,
-                                               CostProfiler *Prof) {
-  const Function *Entry = Layout.module().getFunction(Workload::EntryName);
-  assert(Entry && "workload module lacks its entry function");
-
-  ExecutionContext::Config Cfg;
-  Cfg.Mem = W.memoryConfig(Params);
-  Cfg.WorkloadRngSeed = WorkloadSeed;
-  ExecutionContext Ctx(Layout, Cfg);
-
-  uint64_t Slots = W.outputSlots(Params);
-  uint64_t OutPtr = Ctx.hostAlloc(Slots);
-  assert(OutPtr && "host output allocation failed: enlarge heap config");
-
-  std::vector<RtValue> Args;
-  Args.reserve(Params.size() + 1);
-  for (int64_t P : Params)
-    Args.push_back(RtValue::fromI64(P));
-  Args.push_back(RtValue::fromPtr(OutPtr));
-  assert(Entry->numArgs() == Args.size() &&
-         "workload entry arity does not match its declared parameters");
-
-  if (Plan)
-    Ctx.setFaultPlan(*Plan);
-  if (Trace)
-    Ctx.setValueStepTrace(Trace);
-  if (Obs)
-    Ctx.setObserver(Obs);
-  if (Prof)
-    Prof->attach(Ctx, Entry); // arms site counts (+observer when needed)
-  Ctx.start(Entry, Args);
-  RunStatus S = Ctx.run(StepBudget);
-
-  ExecutionRecord R;
-  R.Status = S;
-  R.Trap = Ctx.trap();
-  R.Steps = Ctx.steps();
-  R.ValueSteps = Ctx.valueSteps();
-  R.CriticalPathCycles = Ctx.steps() + Ctx.commCost();
-  R.FaultInjected = Ctx.faultWasInjected();
-  R.FaultedInstructionId = Ctx.faultedInstructionId();
-  if (S == RunStatus::Finished) {
-    std::vector<RtValue> Output = readOutput(Ctx.memory(), OutPtr, Slots);
-    R.OutputValid = verifyAgainstGolden(Output);
-  }
-  return R;
+  return verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof}));
 }
 
 ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
                                                  uint64_t StepBudget) {
+  // SimMPI schedules interpreter contexts only: a VM request is honored
+  // by serial runs and counted as an `mpi` fallback here.
+  const char *Fallback =
+      Exec.backend() == ExecBackend::Vm ? noteVmFallback("mpi") : nullptr;
   const Function *Entry = Layout.module().getFunction(Workload::EntryName);
-  assert(Entry && "workload module lacks its entry function");
+  if (!Entry || Entry->numArgs() != Params.size() + 1) {
+    ExecutionRecord R = ProgramExecutor::failedRun(TrapKind::BadEntry);
+    R.FallbackReason = Fallback;
+    return R;
+  }
 
   MpiJob::Config JobCfg;
   JobCfg.NumRanks = NumRanks;
@@ -147,7 +118,6 @@ ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
   std::vector<uint64_t> OutPtrs(static_cast<size_t>(NumRanks), 0);
   Job.start(Entry, [&](ExecutionContext &Ctx, int Rank) {
     uint64_t OutPtr = Ctx.hostAlloc(Slots);
-    assert(OutPtr && "host output allocation failed: enlarge heap config");
     OutPtrs[static_cast<size_t>(Rank)] = OutPtr;
     std::vector<RtValue> Args;
     for (int64_t P : Params)
@@ -155,6 +125,13 @@ ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
     Args.push_back(RtValue::fromPtr(OutPtr));
     return Args;
   });
+  // Every rank has the same heap, so one failed output allocation means
+  // all failed; refuse the run instead of handing ranks a null buffer.
+  if (OutPtrs[0] == 0) {
+    ExecutionRecord R = ProgramExecutor::failedRun(TrapKind::OutOfMemory);
+    R.FallbackReason = Fallback;
+    return R;
+  }
   JobResult JR = Job.run();
 
   ExecutionRecord R;
@@ -163,11 +140,11 @@ ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
   R.Steps = JR.TotalSteps;
   R.ValueSteps = Job.rank(0).valueSteps();
   R.CriticalPathCycles = JR.CriticalPathCycles;
+  R.FallbackReason = Fallback;
   if (JR.Status == RunStatus::Finished) {
     // Rank 0's output is canonical (every rank assembles the full result).
-    std::vector<RtValue> Output =
-        readOutput(Job.rank(0).memory(), OutPtrs[0], Slots);
-    R.OutputValid = verifyAgainstGolden(Output);
+    R.OutputValid = verifyAgainstGolden(
+        readOutputSlots(Job.rank(0).memory(), OutPtrs[0], Slots));
   }
   return R;
 }

@@ -7,7 +7,7 @@
 #ifndef IPAS_WORKLOADS_WORKLOADHARNESS_H
 #define IPAS_WORKLOADS_WORKLOADHARNESS_H
 
-#include "fault/ProgramHarness.h"
+#include "fault/ProgramExecutor.h"
 #include "mpi/SimMpi.h"
 #include "workloads/Workload.h"
 
@@ -17,13 +17,17 @@ namespace ipas {
 /// The first clean execution captures the golden output used by the
 /// verification routine. Fault injection is supported for serial runs
 /// (the paper's coverage methodology, §6); multi-rank runs are used for
-/// the scalability measurements.
+/// the scalability measurements. Serial runs execute through a
+/// ProgramExecutor (so on the VM when it is preferred); multi-rank runs
+/// always run on SimMPI over the interpreter.
 class WorkloadHarness : public ProgramHarness {
 public:
   WorkloadHarness(const Workload &W, int InputLevel, int NumRanks = 1,
-                  uint64_t WorkloadSeed = 0x1234abcd)
-      : W(W), Params(W.inputParams(InputLevel)), NumRanks(NumRanks),
-        WorkloadSeed(WorkloadSeed) {}
+                  uint64_t WorkloadSeed = 0x1234abcd);
+
+  /// See ProgramExecutor::setBackend. Multi-rank runs stay on the
+  /// interpreter and are tagged with the `mpi` fallback reason.
+  void setPreferredBackend(ExecBackend B) override { Exec.setBackend(B); }
 
   ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
                           uint64_t StepBudget) override;
@@ -49,19 +53,17 @@ public:
   const std::vector<int64_t> &params() const { return Params; }
 
 private:
-  ExecutionRecord executeSerial(const ModuleLayout &Layout,
-                                const FaultPlan *Plan, uint64_t StepBudget,
-                                std::vector<unsigned> *Trace = nullptr,
-                                ExecObserver *Obs = nullptr,
-                                CostProfiler *Prof = nullptr);
   ExecutionRecord executeParallel(const ModuleLayout &Layout,
                                   uint64_t StepBudget);
+  /// Applies verifyAgainstGolden() to a finished serial run's output.
+  ExecutionRecord verify(const ProgramExecutor::Run &R);
   bool verifyAgainstGolden(const std::vector<RtValue> &Output);
 
   const Workload &W;
   std::vector<int64_t> Params;
   int NumRanks;
   uint64_t WorkloadSeed;
+  ProgramExecutor Exec;
   std::vector<RtValue> Golden;
 };
 

@@ -30,6 +30,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 using namespace ipas;
@@ -448,12 +449,19 @@ const char *const ProfileMicroPrograms[] = {
     "  return s; }",
 };
 
+/// 13 for every parameter of @f (the harness refuses an argument list
+/// that does not match the entry's arity).
+std::vector<RtValue> microArgs(const Module &M) {
+  return std::vector<RtValue>(M.getFunction("f")->numArgs(),
+                              RtValue::fromI64(13));
+}
+
 TEST(VmCountingProfiler, MicroProgramParity) {
   for (const char *Src : ProfileMicroPrograms) {
     SCOPED_TRACE(Src);
     std::unique_ptr<Module> M = compile(Src);
     ASSERT_NE(M, nullptr);
-    expectProfileParity(*M, "f", {RtValue::fromI64(13)});
+    expectProfileParity(*M, "f", microArgs(*M));
   }
 }
 
@@ -467,7 +475,7 @@ TEST(VmCountingProfiler, ProtectedMicroProgramParity) {
     ASSERT_NE(M, nullptr);
     duplicateAllInstructions(*M);
     M->renumber();
-    expectProfileParity(*M, "f", {RtValue::fromI64(13)});
+    expectProfileParity(*M, "f", microArgs(*M));
   }
 }
 
@@ -793,6 +801,34 @@ TEST(VmCountingProfiler, GenfuzzParity) {
   M->renumber();
   expectProfileParity(*M, "run",
                       {RtValue::fromI64(3), RtValue::fromI64(5)});
+}
+
+// The executor compiles bytecode once per layout. A layout built in the
+// storage of a destroyed one gets the same address, so the cache must
+// key on the layout's identity, not its address, or the second module
+// would silently run the first one's bytecode.
+TEST(VmExecutor, NewLayoutAtARecycledAddressIsRecompiled) {
+  std::unique_ptr<Module> A = compile("int f(int a) { return a + 1; }");
+  std::unique_ptr<Module> B = compile("int f(int a) { return a * 3; }");
+  ASSERT_TRUE(A && B);
+  ProgramExecutor::Config Cfg;
+  Cfg.Entry = "f";
+  Cfg.Args = {RtValue::fromI64(5)};
+  ProgramExecutor Exec(Cfg);
+  Exec.setBackend(ExecBackend::Vm);
+  alignas(ModuleLayout) unsigned char Storage[sizeof(ModuleLayout)];
+  int64_t Results[2] = {0, 0};
+  const Module *Mods[2] = {A.get(), B.get()};
+  for (int K = 0; K != 2; ++K) {
+    auto *Layout = new (Storage) ModuleLayout(*Mods[K]);
+    ProgramExecutor::Run R = Exec.run(*Layout, nullptr, UINT64_MAX);
+    Layout->~ModuleLayout();
+    ASSERT_EQ(R.Rec.Status, RunStatus::Finished);
+    EXPECT_EQ(R.Rec.BackendUsed, ExecBackend::Vm);
+    Results[K] = R.ReturnValue.asI64();
+  }
+  EXPECT_EQ(Results[0], 6);
+  EXPECT_EQ(Results[1], 15);
 }
 
 } // namespace

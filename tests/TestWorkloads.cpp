@@ -6,8 +6,12 @@
 
 #include "TestUtil.h"
 
-#include "workloads/WorkloadHarness.h"
+#include "fault/Campaign.h"
+#include "fault/FunctionHarness.h"
+#include "interp/CostProfiler.h"
+#include "obs/Metrics.h"
 #include "transform/Duplication.h"
+#include "workloads/WorkloadHarness.h"
 
 #include <cmath>
 
@@ -125,6 +129,85 @@ TEST_P(WorkloadSuite, DescriptionsAreInformative) {
   EXPECT_GT(Lexer::countCodeLines(W->source()), 20u);
 }
 
+// The executor runs serial workload runs on the VM when asked: the
+// campaign record streams (every run's instruction, bit, value step and
+// outcome), the clean step counts and the counting-mode profiles must be
+// the interpreter's, bit for bit, at one and four threads — and the VM
+// campaigns must not have handed a single run back to the interpreter.
+TEST_P(WorkloadSuite, BackendsAgreeOnCampaignsAndProfiles) {
+  auto M = compileWorkload(*W);
+  ModuleLayout Layout(*M);
+  std::vector<CampaignResult> Results;
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(backendName(B)) + " x" +
+                   std::to_string(Threads));
+      WorkloadHarness H(*W, 1);
+      CampaignConfig CC;
+      CC.NumRuns = 24;
+      CC.Seed = testSeed();
+      CC.NumThreads = Threads;
+      CC.Backend = B;
+      Results.push_back(runCampaign(H, Layout, CC));
+      const CampaignResult &R = Results.back();
+      if (B == ExecBackend::Vm) {
+        EXPECT_EQ(R.InterpRuns, 0u);
+        EXPECT_EQ(R.VmRuns, CC.NumRuns);
+      } else {
+        EXPECT_EQ(R.VmRuns, 0u);
+      }
+    }
+  }
+  const CampaignResult &Ref = Results.front();
+  for (const CampaignResult &R : Results) {
+    EXPECT_EQ(R.CleanSteps, Ref.CleanSteps);
+    EXPECT_EQ(R.CleanValueSteps, Ref.CleanValueSteps);
+    ASSERT_EQ(R.Records.size(), Ref.Records.size());
+    for (size_t K = 0; K != R.Records.size(); ++K) {
+      SCOPED_TRACE("run " + std::to_string(K));
+      EXPECT_EQ(R.Records[K].InstructionId, Ref.Records[K].InstructionId);
+      EXPECT_EQ(R.Records[K].BitIndex, Ref.Records[K].BitIndex);
+      EXPECT_EQ(R.Records[K].TargetValueStep,
+                Ref.Records[K].TargetValueStep);
+      EXPECT_EQ(R.Records[K].Result, Ref.Records[K].Result);
+    }
+  }
+
+  std::vector<uint64_t> Counts[2];
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    WorkloadHarness H(*W, 1);
+    H.setPreferredBackend(B);
+    CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
+    ExecutionRecord R = H.executeProfiled(Layout, Prof);
+    ASSERT_EQ(R.Status, RunStatus::Finished);
+    EXPECT_TRUE(R.OutputValid);
+    EXPECT_EQ(R.BackendUsed, B);
+    EXPECT_EQ(R.FallbackReason, nullptr);
+    EXPECT_EQ(Prof.totalSteps(), Ref.CleanSteps);
+    Counts[static_cast<size_t>(B)] = Prof.flatCounts();
+  }
+  EXPECT_EQ(Counts[0], Counts[1]);
+}
+
+// SimMPI schedules interpreter contexts only: a multi-rank run asked to
+// use the VM runs on the interpreter and says so.
+TEST_P(WorkloadSuite, MultiRankVmRequestFallsBackWithMpiReason) {
+  auto M = compileWorkload(*W);
+  ModuleLayout Layout(*M);
+  obs::Counter &Mpi =
+      obs::MetricsRegistry::global().counter("vm.fallback.mpi");
+  uint64_t Before = Mpi.value();
+  WorkloadHarness H(*W, 1, 4);
+  H.setPreferredBackend(ExecBackend::Vm);
+  ExecutionRecord R = H.execute(Layout, nullptr, UINT64_MAX);
+  ASSERT_EQ(R.Status, RunStatus::Finished);
+  EXPECT_TRUE(R.OutputValid);
+  EXPECT_EQ(R.BackendUsed, ExecBackend::Interp);
+  ASSERT_NE(R.FallbackReason, nullptr);
+  EXPECT_STREQ(R.FallbackReason, "mpi");
+  EXPECT_EQ(Mpi.value(), Before + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFive, WorkloadSuite,
                          ::testing::Values("CoMD", "HPCCG", "AMG", "FFT",
                                            "IS"));
@@ -202,4 +285,87 @@ TEST(Workloads, AmgChecksumGuardsInputIntegrity) {
   std::vector<RtValue> Tampered = H.golden();
   Tampered.back() = RtValue::fromF64(Tampered.back().asF64() + 1.0);
   EXPECT_FALSE(W->verify(Tampered, H.golden(), W->inputParams(1)));
+}
+
+namespace {
+
+/// A well-formed workload whose heap cannot hold its output region: the
+/// harness's host allocation fails before the program starts.
+class OversizedOutputWorkload : public Workload {
+public:
+  std::string name() const override { return "oversized"; }
+  std::string description() const override { return "test only"; }
+  std::string source() const override {
+    return "int run(int n, double* out) { out[0] = 1.0 * n; return 0; }";
+  }
+  std::vector<int64_t> inputParams(int) const override { return {3}; }
+  std::string inputDescription(int) const override { return "n = 3"; }
+  uint64_t outputSlots(const std::vector<int64_t> &) const override {
+    return 1024;
+  }
+  Memory::Config memoryConfig(const std::vector<int64_t> &) const override {
+    Memory::Config C;
+    C.HeapBytes = 4096; // 512 slots
+    return C;
+  }
+  bool verify(const std::vector<RtValue> &, const std::vector<RtValue> &,
+              const std::vector<int64_t> &) const override {
+    return true;
+  }
+};
+
+} // namespace
+
+// A failed output allocation is a failed run on both engines and every
+// rank count — never a run handed a null output pointer.
+TEST(Workloads, OutputLargerThanHeapFailsTheRun) {
+  OversizedOutputWorkload W;
+  auto M = compileWorkload(W);
+  ModuleLayout Layout(*M);
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    for (int Ranks : {1, 2}) {
+      SCOPED_TRACE(std::string(backendName(B)) + " ranks " +
+                   std::to_string(Ranks));
+      WorkloadHarness H(W, 1, Ranks);
+      H.setPreferredBackend(B);
+      ExecutionRecord R = H.execute(Layout, nullptr, UINT64_MAX);
+      EXPECT_EQ(R.Status, RunStatus::Trapped);
+      EXPECT_EQ(R.Trap, TrapKind::OutOfMemory);
+      EXPECT_EQ(R.Steps, 0u);
+      EXPECT_TRUE(H.golden().empty());
+    }
+  }
+}
+
+// A missing entry function fails the run the same way on both engines.
+TEST(Workloads, MissingEntryFailsTheRun) {
+  std::unique_ptr<Module> M = compile("int f(int a) { return a + 1; }");
+  ModuleLayout Layout(*M);
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    for (const char *Entry : {"g", "f"}) {
+      SCOPED_TRACE(std::string(backendName(B)) + " @" + Entry);
+      // @f exists but takes one argument, not two.
+      FunctionHarness H(Entry, {RtValue::fromI64(1), RtValue::fromI64(2)});
+      H.setPreferredBackend(B);
+      ExecutionRecord R = H.execute(Layout, nullptr, UINT64_MAX);
+      EXPECT_EQ(R.Status, RunStatus::Trapped);
+      EXPECT_EQ(R.Trap, TrapKind::BadEntry);
+      EXPECT_EQ(R.Steps, 0u);
+    }
+  }
+}
+
+// ...so the campaign driver's clean-run check refuses it in the shipped
+// (NDEBUG) build instead of injecting into a run that never started.
+TEST(WorkloadsDeathTest, CampaignRefusesOutputLargerThanHeap) {
+  OversizedOutputWorkload W;
+  auto M = compileWorkload(W);
+  ModuleLayout Layout(*M);
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    WorkloadHarness H(W, 1);
+    CampaignConfig CC;
+    CC.NumRuns = 4;
+    CC.Backend = B;
+    EXPECT_DEATH(runCampaign(H, Layout, CC), "clean run failed");
+  }
 }
