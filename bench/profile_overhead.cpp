@@ -91,7 +91,7 @@ double timedCleanRuns(const ModuleLayout &Layout, size_t NumRuns, Variant V,
       CostProfiler Prof(Layout, V == Variant::Counting
                                     ? CostProfiler::Mode::Counting
                                     : CostProfiler::Mode::Context);
-      Rec = H.executeProfiled(Layout, Prof);
+      Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
       if (Prof.totalSteps() != Rec.Steps) {
         std::fprintf(stderr,
                      "error: profiled counts sum to %llu, run took %llu "

@@ -110,7 +110,7 @@ struct VariantState {
       if (V == Variant::VmPlain) {
         Rec = H.execute(Layout, nullptr, UINT64_MAX);
       } else {
-        Rec = H.executeProfiled(Layout, Prof);
+        Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
         StepsTotal += Rec.Steps;
       }
       if (Rec.Status != RunStatus::Finished || !Rec.OutputValid) {
@@ -179,7 +179,7 @@ bool sameProfile(const ModuleLayout &Layout) {
     FunctionHarness H("kernel", {RtValue::fromI64(24)});
     H.setPreferredBackend(B);
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
-    ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
     if (Rec.Status != RunStatus::Finished)
       return false;
     Counts[I++] = Prof.flatCounts();

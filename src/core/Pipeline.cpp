@@ -127,7 +127,8 @@ void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
   BaseHarness.setPreferredBackend(Cfg.Backend);
   CostProfiler BaseProf(*Base.Layout, CostProfiler::Mode::Counting,
                         Prof.model());
-  ExecutionRecord R = BaseHarness.executeProfiled(*Base.Layout, BaseProf);
+  ExecutionRecord R = BaseHarness.run(*Base.Layout, nullptr, UINT64_MAX,
+                                      {.Prof = &BaseProf});
   if (R.Status == RunStatus::Finished && R.OutputValid) {
     if (!attributeOverhead(*Base.M, BaseProf.flatCounts(), *PM.M,
                            Prof.flatCounts(), Prof.model(), S, &Err))

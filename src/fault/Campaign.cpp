@@ -368,7 +368,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   // stream untouched by construction: the plans are already drawn and
   // classified, and the traced executions are independent repeats.
   if (Cfg.PropSampleEvery) {
-    if (Harness.supportsObservation()) {
+    if (Harness.supportsInstruments()) {
       CleanReference Ref = captureCleanReference(Harness, Layout);
       if (Ref.Valid) {
         for (size_t Run = 0; Run < Cfg.NumRuns;

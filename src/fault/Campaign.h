@@ -44,8 +44,8 @@ struct CampaignConfig {
   /// sink, so the run's outcome is Masked without executing. Pruning does
   /// not perturb plan drawing or non-pruned runs in any way — the full
   /// campaign's per-record (InstructionId, BitIndex, Result) stream stays
-  /// bit-identical. Requires a harness that supports traceValueSteps();
-  /// null (or an unsupported harness) disables pruning.
+  /// bit-identical. Requires a harness whose traceValueSteps() yields a
+  /// full trace; null (or a harness that cannot trace) disables pruning.
   const std::vector<bool> *ProvablyBenign = nullptr;
   /// Telemetry label carried on every trace record and progress line —
   /// drivers pass the technique/variant name (empty means "campaign").
@@ -85,7 +85,7 @@ struct CampaignConfig {
   /// from the campaign RNG and the traced runs are separate
   /// re-executions — so the (InstructionId, BitIndex, Result) record
   /// stream is bit-identical with tracing on or off and for any
-  /// NumThreads. Requires a harness whose supportsObservation() is true;
+  /// NumThreads. Requires a harness whose supportsInstruments() is true;
   /// ignored otherwise.
   size_t PropSampleEvery = 0;
 };

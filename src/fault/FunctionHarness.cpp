@@ -38,12 +38,3 @@ ExecutionRecord FunctionHarness::verify(const ProgramExecutor::Run &R) {
   }
   return Rec;
 }
-
-std::vector<unsigned>
-FunctionHarness::traceValueSteps(const ModuleLayout &Layout) {
-  std::vector<unsigned> Trace;
-  if (Exec.run(Layout, nullptr, UINT64_MAX, {.Trace = &Trace}).Rec.Status !=
-      RunStatus::Finished)
-    Trace.clear(); // tracing failed: disable pruning rather than misprune
-  return Trace;
-}

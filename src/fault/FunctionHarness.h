@@ -30,28 +30,15 @@ public:
   /// campaign's correctness oracle is the returned bit pattern).
   FunctionHarness(std::string EntryName, std::vector<RtValue> Args);
 
+  ExecutionRecord run(const ModuleLayout &Layout, const FaultPlan *Plan,
+                      uint64_t StepBudget, const Instruments &With) override {
+    return verify(Exec.run(Layout, Plan, StepBudget, With));
+  }
+
   /// See ProgramExecutor::setBackend.
   void setPreferredBackend(ExecBackend B) override { Exec.setBackend(B); }
 
-  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override {
-    return verify(Exec.run(Layout, Plan, StepBudget));
-  }
-
-  std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) override;
-
-  bool supportsObservation() const override { return true; }
-  ExecutionRecord executeObserved(const ModuleLayout &Layout,
-                                  const FaultPlan *Plan, uint64_t StepBudget,
-                                  ExecObserver &Obs) override {
-    return verify(Exec.run(Layout, Plan, StepBudget, {.Obs = &Obs}));
-  }
-
-  bool supportsProfiling() const override { return true; }
-  ExecutionRecord executeProfiled(const ModuleLayout &Layout,
-                                  CostProfiler &Prof) override {
-    return verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof}));
-  }
+  bool supportsInstruments() const override { return true; }
 
 private:
   /// The return-bits check: the first finished run's bits become the

@@ -159,10 +159,11 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
   std::vector<uint64_t> Profile(NumFns, 0);
   if (Cfg.ProfileHashes && Cfg.ProfileHashes->size() == NumFns) {
     Profile = *Cfg.ProfileHashes;
-  } else if (Harness.supportsProfiling()) {
+  } else if (Harness.supportsInstruments()) {
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
     Prof.enableFunctionHashes();
-    ExecutionRecord Obs = Harness.executeProfiled(Layout, Prof);
+    ExecutionRecord Obs =
+        Harness.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
     if (Obs.Status == RunStatus::Finished && Obs.OutputValid)
       Profile = Prof.functionHashes();
     else

@@ -34,7 +34,7 @@ bool ipas::buildProfileStore(ProgramHarness &Harness,
                              obs::ProfileStore &Out, std::string *Err) {
   const Module &M = Layout.module();
   assert(&M == &Prof.module() && "profiler built for a different layout");
-  if (!Harness.supportsProfiling()) {
+  if (!Harness.supportsInstruments()) {
     if (Err)
       *Err = "harness does not support profiling";
     return false;
@@ -46,7 +46,8 @@ bool ipas::buildProfileStore(ProgramHarness &Harness,
       obs::AttrSet()
           .add("entry", In.EntryFunction)
           .add("label", In.Label.empty() ? "profile" : In.Label.c_str()));
-  ExecutionRecord R = Harness.executeProfiled(Layout, Prof);
+  ExecutionRecord R =
+      Harness.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
   if (R.Status != RunStatus::Finished || !R.OutputValid) {
     if (Err)
       *Err = "profiled clean run did not finish with valid output";

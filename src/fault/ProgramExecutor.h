@@ -61,15 +61,6 @@ public:
     uint64_t OutputSlots = 0;
   };
 
-  /// Optional per-run instruments. An observer, a value-step trace or a
-  /// context-mode profiler pins the run to the interpreter; a
-  /// counting-mode profiler runs natively on either engine.
-  struct Instruments {
-    ExecObserver *Obs = nullptr;
-    CostProfiler *Prof = nullptr;
-    std::vector<unsigned> *Trace = nullptr;
-  };
-
   /// One run, before verification (Rec.OutputValid is left false).
   struct Run {
     ExecutionRecord Rec;
@@ -89,20 +80,17 @@ public:
   ExecBackend backend() const { return Backend; }
 
   /// Executes the entry once under \p Plan (null = clean) within
-  /// \p StepBudget steps. A run that cannot start — missing entry,
-  /// wrong arity, output region larger than the heap — comes back
-  /// Trapped (BadEntry / OutOfMemory) on either engine, so a caller's
-  /// clean-run check refuses it. Thread-safe once the first run for
-  /// \p Layout has returned (runCampaign's serial clean run ensures
-  /// this before the injection threads start).
+  /// \p StepBudget steps, with \p With attached. A run that cannot
+  /// start — missing entry, wrong arity, output region larger than the
+  /// heap — comes back Trapped (BadEntry / OutOfMemory) on either
+  /// engine, so a caller's clean-run check refuses it. Thread-safe once
+  /// the first run for \p Layout has returned (runCampaign's serial
+  /// clean run ensures this before the injection threads start).
   Run run(const ModuleLayout &Layout, const FaultPlan *Plan,
-          uint64_t StepBudget, const Instruments &With);
-  Run run(const ModuleLayout &Layout, const FaultPlan *Plan,
-          uint64_t StepBudget) {
-    return run(Layout, Plan, StepBudget, Instruments());
-  }
+          uint64_t StepBudget, const Instruments &With = {});
 
-  /// The record of a run that could not start.
+  /// The record of a run that could not start, or that its harness
+  /// refuses (a fault plan or instrument on a multi-rank run).
   static ExecutionRecord failedRun(TrapKind Trap);
 
 private:

@@ -21,13 +21,13 @@ namespace ipas {
 
 class CostProfiler; // interp/CostProfiler.h
 
-/// Which execution engine a harness should use for plain execute()
-/// calls. Interp is the reference tree-walking interpreter; Vm is the
-/// threaded-code bytecode VM (vm/VM.h), observably equivalent but much
-/// faster on campaign workloads. Counting-mode profiled runs execute
-/// natively on the VM too; runs that need interpreter observers
-/// (propagation tracing, context profiling, value-step traces) always
-/// use the interpreter regardless of this setting.
+/// Which execution engine a harness should use for its runs. Interp is
+/// the reference tree-walking interpreter; Vm is the threaded-code
+/// bytecode VM (vm/VM.h), observably equivalent but much faster on
+/// campaign workloads. Counting-mode profiled runs execute natively on
+/// the VM too; runs that need interpreter observers (propagation
+/// tracing, context profiling, value-step traces) always use the
+/// interpreter regardless of this setting.
 enum class ExecBackend : uint8_t { Interp, Vm };
 
 const char *backendName(ExecBackend B);
@@ -62,69 +62,67 @@ struct ExecutionRecord {
 /// else counts as "other".
 const char *noteVmFallback(const char *Reason);
 
+/// Sum of every vm.fallback.<reason> counter noteVmFallback() bumps.
+uint64_t vmFallbackTotal();
+
+/// Optional per-run instruments. An observer, a value-step trace or a
+/// context-mode profiler pins the run to the interpreter; a
+/// counting-mode profiler runs natively on either engine.
+struct Instruments {
+  /// Receives every value commit, memory access and control decision.
+  ExecObserver *Obs = nullptr;
+  /// Armed on the site-count hook (and observer slot when its mode
+  /// needs it).
+  CostProfiler *Prof = nullptr;
+  /// Filled with, per dynamic value step, the id of the static
+  /// instruction that produced it.
+  std::vector<unsigned> *Trace = nullptr;
+};
+
 /// One program + input + verification routine, executable under fault
 /// injection. FunctionHarness (fault/) and WorkloadHarness (workloads/)
 /// supply data and verification and run through one ProgramExecutor.
+/// Every execution IPAS makes — campaign clean and injected runs,
+/// value-step traces, propagation observation, cost profiles — is one
+/// run() with different instruments attached.
 class ProgramHarness {
 public:
   virtual ~ProgramHarness() = default;
+
+  /// Executes once. \p Plan may be null (clean run). \p StepBudget bounds
+  /// execution (hang detection); pass UINT64_MAX for unbounded. \p With
+  /// attaches instruments; a harness whose supportsInstruments() is
+  /// false refuses a run that asks for any (Trapped, BadEntry).
+  virtual ExecutionRecord run(const ModuleLayout &Layout,
+                              const FaultPlan *Plan, uint64_t StepBudget,
+                              const Instruments &With) = 0;
 
   /// Requests an execution backend for subsequent runs. The backends
   /// are observably equivalent, so this is purely a throughput hint: a
   /// run the VM cannot take (module does not compile to bytecode, or the
   /// run needs an interpreter observer, a value-step trace, context
   /// profiling or SimMPI) executes on the interpreter and is tagged with
-  /// its fallback reason. FunctionHarness and WorkloadHarness honor it;
-  /// the default ignores it.
-  virtual void setPreferredBackend(ExecBackend Backend) { (void)Backend; }
+  /// its fallback reason.
+  virtual void setPreferredBackend(ExecBackend Backend) = 0;
 
-  /// Executes once. \p Plan may be null (clean run). \p StepBudget bounds
-  /// execution (hang detection); pass UINT64_MAX for unbounded.
-  virtual ExecutionRecord execute(const ModuleLayout &Layout,
-                                  const FaultPlan *Plan,
-                                  uint64_t StepBudget) = 0;
+  /// True when run() honors instruments. Callers that need one
+  /// (propagation tracing, the profile builder) check this first;
+  /// multi-rank workloads, for instance, answer false.
+  virtual bool supportsInstruments() const = 0;
+
+  /// A plain run without instruments.
+  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
+                          uint64_t StepBudget) {
+    return run(Layout, Plan, StepBudget, {});
+  }
 
   /// Runs one clean execution and returns, per dynamic value step, the id
   /// of the static instruction that produced it (so Trace[k] is the
-  /// injection target of a plan with TargetValueStep == k). An empty
-  /// vector means the harness does not support tracing; the campaign
-  /// driver then disables injection-site pruning. The default does exactly
-  /// that.
-  virtual std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) {
-    (void)Layout;
-    return {};
-  }
-
-  /// True when executeObserved() actually attaches the observer. The
-  /// campaign driver only offers propagation tracing on harnesses that
-  /// return true (multi-rank workloads, for instance, do not).
-  virtual bool supportsObservation() const { return false; }
-
-  /// Executes once with \p Obs attached to the interpreter, receiving
-  /// every value commit, memory access, and control decision of the run.
-  /// The default ignores the observer and delegates to execute().
-  virtual ExecutionRecord executeObserved(const ModuleLayout &Layout,
-                                          const FaultPlan *Plan,
-                                          uint64_t StepBudget,
-                                          ExecObserver &Obs) {
-    (void)Obs;
-    return execute(Layout, Plan, StepBudget);
-  }
-
-  /// True when executeProfiled() actually arms the profiler. The profile
-  /// builder (fault/ProfileBuild.h) refuses harnesses that return false
-  /// rather than writing an empty store.
-  virtual bool supportsProfiling() const { return false; }
-
-  /// Runs one *clean* (no fault plan, unbounded) execution with \p Prof
-  /// attached to the interpreter's site-count hook (and observer slot
-  /// when the profiler's mode needs it). The default ignores the
-  /// profiler and delegates to execute().
-  virtual ExecutionRecord executeProfiled(const ModuleLayout &Layout,
-                                          CostProfiler &Prof) {
-    (void)Prof;
-    return execute(Layout, nullptr, UINT64_MAX);
-  }
+  /// injection target of a plan with TargetValueStep == k). Empty unless
+  /// the run finished; an empty trace (or one whose length is not the
+  /// clean run's value-step count, as from a harness that ignores
+  /// Instruments::Trace) makes the campaign driver disable pruning.
+  std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout);
 };
 
 } // namespace ipas

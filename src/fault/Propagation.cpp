@@ -499,7 +499,7 @@ CleanReference ipas::captureCleanReference(ProgramHarness &Harness,
   CleanReference Ref;
   CleanRecorder Recorder(Ref);
   ExecutionRecord R =
-      Harness.executeObserved(Layout, nullptr, UINT64_MAX, Recorder);
+      Harness.run(Layout, nullptr, UINT64_MAX, {.Obs = &Recorder});
   Ref.Valid = R.Status == RunStatus::Finished && R.OutputValid;
   if (!Ref.Valid) {
     Ref.Ids.clear();
@@ -518,7 +518,7 @@ obs::PropRecord ipas::tracePropagation(ProgramHarness &Harness,
                                        uint64_t RunIndex) {
   PropagationTracer Tracer(Layout, Ref, Plan.TargetValueStep);
   ExecutionRecord R =
-      Harness.executeObserved(Layout, &Plan, StepBudget, Tracer);
+      Harness.run(Layout, &Plan, StepBudget, {.Obs = &Tracer});
   obs::PropRecord Rec = Tracer.finish(R);
   Rec.RunIndex = RunIndex;
   Rec.InstructionId = R.FaultedInstructionId;

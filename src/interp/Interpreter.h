@@ -51,8 +51,9 @@ enum class TrapKind : uint8_t {
   CallDepthExceeded,
   MpiMismatch, ///< Ranks disagreed on the collective being executed.
   /// The harness could not start the run: the entry function is missing
-  /// or does not take the harness's arguments. Never raised by a
-  /// running program.
+  /// or does not take the harness's arguments, or the harness cannot
+  /// honor the request (a fault plan or instrument on a multi-rank
+  /// run). Never raised by a running program.
   BadEntry,
 };
 

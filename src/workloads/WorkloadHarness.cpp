@@ -57,55 +57,35 @@ ExecutionRecord WorkloadHarness::verify(const ProgramExecutor::Run &R) {
   return Rec;
 }
 
-ExecutionRecord WorkloadHarness::execute(const ModuleLayout &Layout,
-                                         const FaultPlan *Plan,
-                                         uint64_t StepBudget) {
+ExecutionRecord WorkloadHarness::run(const ModuleLayout &Layout,
+                                     const FaultPlan *Plan,
+                                     uint64_t StepBudget,
+                                     const Instruments &With) {
   if (NumRanks <= 1)
-    return verify(Exec.run(Layout, Plan, StepBudget));
-  assert(!Plan && "fault injection into parallel jobs is driven per-rank "
-                  "via MpiJob directly (coverage campaigns are serial)");
-  return executeParallel(Layout, StepBudget);
+    return verify(Exec.run(Layout, Plan, StepBudget, With));
+  return runParallel(Layout, Plan, StepBudget, With);
 }
 
-std::vector<unsigned>
-WorkloadHarness::traceValueSteps(const ModuleLayout &Layout) {
-  assert(NumRanks <= 1 &&
-         "value-step tracing is defined for serial runs only");
-  std::vector<unsigned> Trace;
-  ExecutionRecord R =
-      verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Trace = &Trace}));
-  if (R.Status != RunStatus::Finished)
-    return {}; // broken program; let the campaign driver notice normally
-  return Trace;
-}
-
-ExecutionRecord WorkloadHarness::executeObserved(const ModuleLayout &Layout,
-                                                 const FaultPlan *Plan,
-                                                 uint64_t StepBudget,
-                                                 ExecObserver &Obs) {
-  assert(NumRanks <= 1 &&
-         "propagation tracing is defined for serial runs only");
-  return verify(Exec.run(Layout, Plan, StepBudget, {.Obs = &Obs}));
-}
-
-ExecutionRecord WorkloadHarness::executeProfiled(const ModuleLayout &Layout,
-                                                 CostProfiler &Prof) {
-  assert(NumRanks <= 1 && "cost profiling is defined for serial runs only");
-  return verify(Exec.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof}));
-}
-
-ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
-                                                 uint64_t StepBudget) {
+ExecutionRecord WorkloadHarness::runParallel(const ModuleLayout &Layout,
+                                             const FaultPlan *Plan,
+                                             uint64_t StepBudget,
+                                             const Instruments &With) {
   // SimMPI schedules interpreter contexts only: a VM request is honored
   // by serial runs and counted as an `mpi` fallback here.
   const char *Fallback =
       Exec.backend() == ExecBackend::Vm ? noteVmFallback("mpi") : nullptr;
-  const Function *Entry = Layout.module().getFunction(Workload::EntryName);
-  if (!Entry || Entry->numArgs() != Params.size() + 1) {
-    ExecutionRecord R = ProgramExecutor::failedRun(TrapKind::BadEntry);
+  auto Refuse = [Fallback](TrapKind Trap) {
+    ExecutionRecord R = ProgramExecutor::failedRun(Trap);
     R.FallbackReason = Fallback;
     return R;
-  }
+  };
+  // Fault injection into parallel jobs is driven per rank via MpiJob
+  // directly; a plan or instrument handed to this run would be ignored
+  // and an injection would read as Masked, so refuse it in every build.
+  const Function *Entry = Layout.module().getFunction(Workload::EntryName);
+  if (Plan || With.Obs || With.Prof || With.Trace || !Entry ||
+      Entry->numArgs() != Params.size() + 1)
+    return Refuse(TrapKind::BadEntry);
 
   MpiJob::Config JobCfg;
   JobCfg.NumRanks = NumRanks;
@@ -127,11 +107,8 @@ ExecutionRecord WorkloadHarness::executeParallel(const ModuleLayout &Layout,
   });
   // Every rank has the same heap, so one failed output allocation means
   // all failed; refuse the run instead of handing ranks a null buffer.
-  if (OutPtrs[0] == 0) {
-    ExecutionRecord R = ProgramExecutor::failedRun(TrapKind::OutOfMemory);
-    R.FallbackReason = Fallback;
-    return R;
-  }
+  if (OutPtrs[0] == 0)
+    return Refuse(TrapKind::OutOfMemory);
   JobResult JR = Job.run();
 
   ExecutionRecord R;

@@ -8,6 +8,7 @@
 
 #include "analysis/SocPropagation.h"
 #include "fault/Campaign.h"
+#include "fault/FunctionHarness.h"
 #include "transform/Duplication.h"
 
 using namespace ipas;
@@ -15,42 +16,10 @@ using namespace ipas::testutil;
 
 namespace {
 
-/// A tiny synthetic harness: computes a checksum over arithmetic and
-/// verifies it against the clean value exactly.
-class ToyHarness : public ProgramHarness {
-public:
-  explicit ToyHarness(const Module &M) : M(M) {}
-
-  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override {
-    ExecutionContext Ctx(Layout);
-    if (Plan)
-      Ctx.setFaultPlan(*Plan);
-    Ctx.start(M.getFunction("f"), {RtValue::fromI64(25)});
-    RunStatus S = Ctx.run(StepBudget);
-    ExecutionRecord R;
-    R.Status = S;
-    R.Trap = Ctx.trap();
-    R.Steps = Ctx.steps();
-    R.ValueSteps = Ctx.valueSteps();
-    R.FaultInjected = Ctx.faultWasInjected();
-    R.FaultedInstructionId = Ctx.faultedInstructionId();
-    if (S == RunStatus::Finished) {
-      if (!HaveGolden) {
-        Golden = Ctx.returnValue().asI64();
-        HaveGolden = true;
-        R.OutputValid = true;
-      } else {
-        R.OutputValid = Ctx.returnValue().asI64() == Golden;
-      }
-    }
-    return R;
-  }
-
-private:
-  const Module &M;
-  int64_t Golden = 0;
-  bool HaveGolden = false;
+/// The toy program's harness: f(25), verified against the clean return
+/// value bit-exactly.
+struct ToyHarness : FunctionHarness {
+  ToyHarness() : FunctionHarness("f", {RtValue::fromI64(25)}) {}
 };
 
 const char *ToySrc =
@@ -83,22 +52,6 @@ const char *ToySrcWithBenign =
     "  return (int)(s * 1000.0);\n"
     "}\n";
 
-/// ToyHarness extended with value-step tracing so campaigns over it can
-/// use ProvablyBenign pruning.
-class TracingToyHarness : public ToyHarness {
-public:
-  using ToyHarness::ToyHarness;
-
-  std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) override {
-    std::vector<unsigned> Trace;
-    ExecutionContext Ctx(Layout);
-    Ctx.setValueStepTrace(&Trace);
-    Ctx.start(Layout.module().getFunction("f"), {RtValue::fromI64(25)});
-    EXPECT_EQ(Ctx.run(UINT64_MAX), RunStatus::Finished);
-    return Trace;
-  }
-};
-
 } // namespace
 
 TEST(Campaign, ClassifyOutcomeMapping) {
@@ -127,7 +80,7 @@ TEST(Campaign, SymptomBucket) {
 TEST(Campaign, RunsRequestedInjections) {
   auto M = compile(ToySrc);
   ModuleLayout Layout(*M);
-  ToyHarness H(*M);
+  ToyHarness H;
   CampaignConfig CC;
   CC.NumRuns = 100;
   CC.Seed = 11;
@@ -151,7 +104,7 @@ TEST(Campaign, DeterministicForSameSeed) {
   CampaignConfig CC;
   CC.NumRuns = 60;
   CC.Seed = 42;
-  ToyHarness H1(*M), H2(*M);
+  ToyHarness H1, H2;
   CampaignResult A = runCampaign(H1, Layout, CC);
   CampaignResult B = runCampaign(H2, Layout, CC);
   ASSERT_EQ(A.Records.size(), B.Records.size());
@@ -168,7 +121,7 @@ TEST(Campaign, DifferentSeedsSampleDifferently) {
   A.NumRuns = B.NumRuns = 40;
   A.Seed = 1;
   B.Seed = 2;
-  ToyHarness H1(*M), H2(*M);
+  ToyHarness H1, H2;
   CampaignResult RA = runCampaign(H1, Layout, A);
   CampaignResult RB = runCampaign(H2, Layout, B);
   int Different = 0;
@@ -181,7 +134,7 @@ TEST(Campaign, DifferentSeedsSampleDifferently) {
 TEST(Campaign, RecordsReferenceValidInstructionIds) {
   auto M = compile(ToySrc);
   ModuleLayout Layout(*M);
-  ToyHarness H(*M);
+  ToyHarness H;
   CampaignConfig CC;
   CC.NumRuns = 80;
   CampaignResult R = runCampaign(H, Layout, CC);
@@ -195,7 +148,7 @@ TEST(Campaign, ProtectedProgramDetectsFaults) {
   duplicateAllInstructions(*M);
   M->renumber();
   ModuleLayout Layout(*M);
-  ToyHarness H(*M);
+  ToyHarness H;
   CampaignConfig CC;
   CC.NumRuns = 150;
   CC.Seed = 77;
@@ -204,7 +157,7 @@ TEST(Campaign, ProtectedProgramDetectsFaults) {
   // SOC under full duplication must be well below the unprotected rate.
   auto M2 = compile(ToySrc);
   ModuleLayout Layout2(*M2);
-  ToyHarness H2(*M2);
+  ToyHarness H2;
   CampaignResult Unprot = runCampaign(H2, Layout2, CC);
   EXPECT_LT(R.fraction(Outcome::SOC), Unprot.fraction(Outcome::SOC));
 }
@@ -231,7 +184,7 @@ TEST(Campaign, RecordStreamInvariantAcrossThreadsAndPruning) {
 
   std::vector<CampaignResult> Results;
   for (const Variant &V : Variants) {
-    TracingToyHarness H(*M);
+    ToyHarness H;
     CampaignConfig CC;
     CC.NumRuns = 200;
     CC.Seed = 1905;
@@ -269,7 +222,7 @@ TEST(Campaign, RecordStreamInvariantAcrossThreadsAndPruning) {
 TEST(Campaign, FractionsSumToOne) {
   auto M = compile(ToySrc);
   ModuleLayout Layout(*M);
-  ToyHarness H(*M);
+  ToyHarness H;
   CampaignConfig CC;
   CC.NumRuns = 50;
   CampaignResult R = runCampaign(H, Layout, CC);

@@ -8,6 +8,7 @@
 
 #include "core/Pipeline.h"
 #include "fault/Campaign.h"
+#include "fault/FunctionHarness.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -133,42 +134,6 @@ std::string tempTracePath(const char *Name) {
 //===----------------------------------------------------------------------===//
 // Toy campaign fixture (mirrors TestCampaign.cpp)
 //===----------------------------------------------------------------------===//
-
-class ToyHarness : public ProgramHarness {
-public:
-  explicit ToyHarness(const Module &M) : M(M) {}
-
-  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override {
-    ExecutionContext Ctx(Layout);
-    if (Plan)
-      Ctx.setFaultPlan(*Plan);
-    Ctx.start(M.getFunction("f"), {RtValue::fromI64(25)});
-    RunStatus S = Ctx.run(StepBudget);
-    ExecutionRecord R;
-    R.Status = S;
-    R.Trap = Ctx.trap();
-    R.Steps = Ctx.steps();
-    R.ValueSteps = Ctx.valueSteps();
-    R.FaultInjected = Ctx.faultWasInjected();
-    R.FaultedInstructionId = Ctx.faultedInstructionId();
-    if (S == RunStatus::Finished) {
-      if (!HaveGolden) {
-        Golden = Ctx.returnValue().asI64();
-        HaveGolden = true;
-        R.OutputValid = true;
-      } else {
-        R.OutputValid = Ctx.returnValue().asI64() == Golden;
-      }
-    }
-    return R;
-  }
-
-private:
-  const Module &M;
-  int64_t Golden = 0;
-  bool HaveGolden = false;
-};
 
 const char *ToySrc =
     "int f(int n) {\n"
@@ -396,7 +361,7 @@ TEST(ObsTrace, CampaignReproducibleFromTrace) {
   CC.NumRuns = 80;
   CC.Seed = 0xDEC0DE5EEDull;
   CC.Label = "roundtrip";
-  ToyHarness H1(*M);
+  FunctionHarness H1("f", {RtValue::fromI64(25)});
   CampaignResult First = runCampaign(H1, Layout, CC);
   TraceSink::close();
 
@@ -436,7 +401,7 @@ TEST(ObsTrace, CampaignReproducibleFromTrace) {
 
   // Replaying with the recovered config (no sink this time) reproduces
   // the injection stream bit-identically.
-  ToyHarness H2(*M);
+  FunctionHarness H2("f", {RtValue::fromI64(25)});
   CampaignResult Second = runCampaign(H2, Layout, Replay);
   ASSERT_EQ(Second.Records.size(), First.Records.size());
   for (size_t I = 0; I != First.Records.size(); ++I) {

@@ -7,6 +7,7 @@
 #include "TestUtil.h"
 
 #include "fault/Campaign.h"
+#include "fault/FunctionHarness.h"
 #include "transform/ConstantFold.h"
 #include "transform/DCE.h"
 #include "transform/Duplication.h"
@@ -165,44 +166,15 @@ TEST(Campaign, ThreadedCampaignMatchesSerial) {
   M->renumber();
   ModuleLayout Layout(*M);
 
-  struct H : ProgramHarness {
-    const Module &M;
-    int64_t Golden = 0;
-    bool Have = false;
-    explicit H(const Module &M) : M(M) {}
-    ExecutionRecord execute(const ModuleLayout &L, const FaultPlan *P,
-                            uint64_t Budget) override {
-      ExecutionContext Ctx(L);
-      if (P)
-        Ctx.setFaultPlan(*P);
-      Ctx.start(M.getFunction("f"), {RtValue::fromI64(40)});
-      ExecutionRecord R;
-      R.Status = Ctx.run(Budget);
-      R.Trap = Ctx.trap();
-      R.Steps = Ctx.steps();
-      R.ValueSteps = Ctx.valueSteps();
-      R.FaultInjected = Ctx.faultWasInjected();
-      R.FaultedInstructionId = Ctx.faultedInstructionId();
-      if (R.Status == RunStatus::Finished) {
-        if (!Have) {
-          Golden = Ctx.returnValue().asI64();
-          Have = true;
-        }
-        R.OutputValid = Ctx.returnValue().asI64() == Golden;
-      }
-      return R;
-    }
-  };
-
   CampaignConfig Serial;
   Serial.NumRuns = 80;
   Serial.Seed = 99;
   CampaignConfig Threaded = Serial;
   Threaded.NumThreads = 4;
 
-  H H1(*M);
+  FunctionHarness H1("f", {RtValue::fromI64(40)});
   CampaignResult A = runCampaign(H1, Layout, Serial);
-  H H2(*M);
+  FunctionHarness H2("f", {RtValue::fromI64(40)});
   // Capture the golden before going parallel (the campaign's clean run
   // does this, single-threaded, before any injection).
   CampaignResult B = runCampaign(H2, Layout, Threaded);

@@ -47,7 +47,7 @@ ProfiledRun profileOnce(const Module &M, const std::string &Fn,
   CostProfiler Prof(Layout, Mode);
   if (WithHashes)
     Prof.enableFunctionHashes();
-  ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+  ExecutionRecord Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
   EXPECT_EQ(Rec.Status, RunStatus::Finished);
   EXPECT_TRUE(Rec.OutputValid);
   EXPECT_EQ(Prof.totalSteps(), Rec.Steps);
@@ -123,7 +123,7 @@ TEST(CostProfiler, ContextTreeHasOneNodePerCallPath) {
   ModuleLayout Layout(*M);
   FunctionHarness H("f", {RtValue::fromI64(7)});
   CostProfiler Prof(Layout, CostProfiler::Mode::Context);
-  ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+  ExecutionRecord Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
   ASSERT_EQ(Rec.Status, RunStatus::Finished);
 
   // Call paths: f, f->g, f->h, f->h->g — four distinct contexts.
@@ -381,7 +381,7 @@ std::string campaignRecordBytes(unsigned NumThreads, bool ProfileFirst) {
   if (ProfileFirst) {
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
     Prof.enableFunctionHashes();
-    ExecutionRecord Rec = H.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
     EXPECT_EQ(Rec.Status, RunStatus::Finished);
   }
 

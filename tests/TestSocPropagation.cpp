@@ -16,6 +16,7 @@
 #include "analysis/Features.h"
 #include "analysis/SocPropagation.h"
 #include "fault/Campaign.h"
+#include "fault/FunctionHarness.h"
 #include "ir/IRBuilder.h"
 
 #include <fstream>
@@ -307,55 +308,6 @@ TEST(Features, ExtendedNamesCoverAllColumns) {
 
 namespace {
 
-/// TestCampaign's ToyHarness plus the traceValueSteps capability the
-/// pruning path requires.
-class TracedHarness : public ProgramHarness {
-public:
-  TracedHarness(const Module &M, int64_t Input) : M(M), Input(Input) {}
-
-  ExecutionRecord execute(const ModuleLayout &Layout, const FaultPlan *Plan,
-                          uint64_t StepBudget) override {
-    ExecutionContext Ctx(Layout);
-    if (Plan)
-      Ctx.setFaultPlan(*Plan);
-    Ctx.start(M.getFunction("f"), {RtValue::fromI64(Input)});
-    RunStatus S = Ctx.run(StepBudget);
-    ExecutionRecord R;
-    R.Status = S;
-    R.Trap = Ctx.trap();
-    R.Steps = Ctx.steps();
-    R.ValueSteps = Ctx.valueSteps();
-    R.FaultInjected = Ctx.faultWasInjected();
-    R.FaultedInstructionId = Ctx.faultedInstructionId();
-    if (S == RunStatus::Finished) {
-      if (!HaveGolden) {
-        Golden = Ctx.returnValue().asI64();
-        HaveGolden = true;
-        R.OutputValid = true;
-      } else {
-        R.OutputValid = Ctx.returnValue().asI64() == Golden;
-      }
-    }
-    return R;
-  }
-
-  std::vector<unsigned> traceValueSteps(const ModuleLayout &Layout) override {
-    ExecutionContext Ctx(Layout);
-    std::vector<unsigned> Trace;
-    Ctx.setValueStepTrace(&Trace);
-    Ctx.start(M.getFunction("f"), {RtValue::fromI64(Input)});
-    if (Ctx.run(UINT64_MAX) != RunStatus::Finished)
-      return {};
-    return Trace;
-  }
-
-private:
-  const Module &M;
-  int64_t Input;
-  int64_t Golden = 0;
-  bool HaveGolden = false;
-};
-
 /// A loop with a dead diagnostic accumulator: the `dead` chain reaches no
 /// sink, so a sizable fraction of dynamic value steps is prunable.
 const char *DeadChainSrc =
@@ -382,13 +334,13 @@ TEST(CampaignPruning, PrunesSitesAndKeepsRecordsBitIdentical) {
   Cfg.NumRuns = 200;
   Cfg.Seed = 2016;
 
-  TracedHarness Plain(*M, 40);
+  FunctionHarness Plain("f", {RtValue::fromI64(40)});
   CampaignResult Unpruned = runCampaign(Plain, Layout, Cfg);
   EXPECT_EQ(Unpruned.PrunedRuns, 0u);
   EXPECT_EQ(Unpruned.PrunedSites, 0u);
 
   Cfg.ProvablyBenign = &Soc.provablyBenign();
-  TracedHarness Traced(*M, 40);
+  FunctionHarness Traced("f", {RtValue::fromI64(40)});
   CampaignResult Pruned = runCampaign(Traced, Layout, Cfg);
 
   // The analysis found sites, the campaign hit some, and skipped runs are
@@ -413,13 +365,17 @@ TEST(CampaignPruning, PrunesSitesAndKeepsRecordsBitIdentical) {
 }
 
 TEST(CampaignPruning, HarnessWithoutTraceSupportDisablesPruning) {
-  // The base-class traceValueSteps returns an empty trace; the campaign
-  // must fall back to executing everything.
-  class UntracedHarness : public TracedHarness {
+  // A harness that ignores Instruments::Trace yields an empty trace; the
+  // campaign must fall back to executing everything.
+  class UntracedHarness : public FunctionHarness {
   public:
-    using TracedHarness::TracedHarness;
-    std::vector<unsigned> traceValueSteps(const ModuleLayout &) override {
-      return {};
+    using FunctionHarness::FunctionHarness;
+    ExecutionRecord run(const ModuleLayout &Layout, const FaultPlan *Plan,
+                        uint64_t StepBudget,
+                        const Instruments &With) override {
+      Instruments Untraced = With;
+      Untraced.Trace = nullptr;
+      return FunctionHarness::run(Layout, Plan, StepBudget, Untraced);
     }
   };
 
@@ -430,7 +386,7 @@ TEST(CampaignPruning, HarnessWithoutTraceSupportDisablesPruning) {
   CampaignConfig Cfg;
   Cfg.NumRuns = 40;
   Cfg.ProvablyBenign = &Soc.provablyBenign();
-  UntracedHarness H(*M, 20);
+  UntracedHarness H("f", {RtValue::fromI64(20)});
   CampaignResult R = runCampaign(H, Layout, Cfg);
   EXPECT_EQ(R.PrunedRuns, 0u);
   EXPECT_EQ(R.Records.size(), 40u);

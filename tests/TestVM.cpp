@@ -374,7 +374,7 @@ TEST(VmBytecode, SelftestBugChangesSemantics) {
 
 /// One counting-mode profiled clean run (optionally repeated to check
 /// cross-run accumulation) on the chosen backend, via the same
-/// FunctionHarness::executeProfiled path the drivers use.
+/// FunctionHarness profiled-run path the drivers use.
 struct ProfiledRun {
   std::vector<uint64_t> Counts;
   uint64_t Steps = 0;
@@ -392,7 +392,8 @@ ProfiledRun profileOn(const Module &M, const char *Fn,
   CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
   Prof.enableFunctionHashes();
   for (unsigned R = 0; R != Repeats; ++R) {
-    ExecutionRecord Rec = Harness.executeProfiled(Layout, Prof);
+    ExecutionRecord Rec =
+        Harness.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
     EXPECT_EQ(Rec.Status, RunStatus::Finished);
     if (R + 1 == Repeats) {
       ProfiledRun Out;
@@ -488,7 +489,7 @@ TEST(VmCountingProfiler, AccumulatesAcrossRunsLikeAttach) {
 }
 
 /// One low-level profiled run with an explicit budget and optional
-/// fault plan — the abnormal-exit paths FunctionHarness::executeProfiled
+/// fault plan — the abnormal-exit paths a FunctionHarness profiled run
 /// never takes. The VM reconstructs counts from control-transfer tallies
 /// after the run, so the interesting cases are exactly the ones where a
 /// run stops mid-flight and the final arrival must be corrected for.
@@ -722,7 +723,8 @@ void sweepRecordInvariance(const char *File, const char *Fn,
             Harness.setPreferredBackend(Backend);
             CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
             Prof.enableFunctionHashes();
-            ExecutionRecord PR = Harness.executeProfiled(Layout, Prof);
+            ExecutionRecord PR =
+                Harness.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
             ASSERT_EQ(PR.Status, RunStatus::Finished);
             EXPECT_EQ(PR.BackendUsed, Backend);
             if (GoldenProfCounts.empty()) {

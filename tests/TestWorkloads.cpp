@@ -178,7 +178,7 @@ TEST_P(WorkloadSuite, BackendsAgreeOnCampaignsAndProfiles) {
     WorkloadHarness H(*W, 1);
     H.setPreferredBackend(B);
     CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
-    ExecutionRecord R = H.executeProfiled(Layout, Prof);
+    ExecutionRecord R = H.run(Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
     ASSERT_EQ(R.Status, RunStatus::Finished);
     EXPECT_TRUE(R.OutputValid);
     EXPECT_EQ(R.BackendUsed, B);
@@ -353,6 +353,50 @@ TEST(Workloads, MissingEntryFailsTheRun) {
       EXPECT_EQ(R.Steps, 0u);
     }
   }
+}
+
+// A multi-rank run cannot honor a fault plan (injection into parallel
+// jobs is driven per rank): it must refuse the plan in every build, not
+// run clean and let the injection read as Masked.
+TEST(Workloads, MultiRankRunRefusesFaultPlan) {
+  auto W = makeWorkload("IS");
+  auto M = compileWorkload(*W);
+  ModuleLayout Layout(*M);
+  FaultPlan Plan;
+  Plan.TargetValueStep = 100;
+  Plan.BitDraw = 52;
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    SCOPED_TRACE(backendName(B));
+    WorkloadHarness H(*W, 1, 2);
+    H.setPreferredBackend(B);
+    ExecutionRecord R = H.execute(Layout, &Plan, UINT64_MAX);
+    EXPECT_EQ(R.Status, RunStatus::Trapped);
+    EXPECT_EQ(R.Trap, TrapKind::BadEntry);
+    EXPECT_EQ(R.Steps, 0u);
+    EXPECT_FALSE(R.FaultInjected);
+    if (B == ExecBackend::Vm)
+      EXPECT_STREQ(R.FallbackReason, "mpi");
+    else
+      EXPECT_EQ(R.FallbackReason, nullptr);
+  }
+}
+
+// ...and the same for an instrument: a value-step trace from a parallel
+// run would be silently empty, so the run is refused instead.
+TEST(Workloads, MultiRankRunRefusesInstruments) {
+  auto W = makeWorkload("IS");
+  auto M = compileWorkload(*W);
+  ModuleLayout Layout(*M);
+  WorkloadHarness H(*W, 1, 2);
+  EXPECT_FALSE(H.supportsInstruments());
+  std::vector<unsigned> Trace;
+  ExecutionRecord R = H.run(Layout, nullptr, UINT64_MAX, {.Trace = &Trace});
+  EXPECT_EQ(R.Status, RunStatus::Trapped);
+  EXPECT_EQ(R.Trap, TrapKind::BadEntry);
+  EXPECT_EQ(R.Steps, 0u);
+  EXPECT_TRUE(Trace.empty());
+  EXPECT_TRUE(H.traceValueSteps(Layout).empty());
+  EXPECT_TRUE(H.golden().empty());
 }
 
 // ...so the campaign driver's clean-run check refuses it in the shipped

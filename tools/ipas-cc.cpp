@@ -23,6 +23,7 @@
 #include "analysis/SocPropagation.h"
 #include "fault/FunctionHarness.h"
 #include "fault/Incremental.h"
+#include "fault/ProgramExecutor.h"
 #include "fault/ProfileBuild.h"
 #include "fault/Propagation.h"
 #include "fault/RecordBuild.h"
@@ -32,7 +33,6 @@
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
 #include "obs/CliOptions.h"
-#include "obs/Metrics.h"
 #include "obs/ProfileStore.h"
 #include "obs/SummaryStore.h"
 #include "support/ArgParser.h"
@@ -41,7 +41,6 @@
 #include "transform/Duplication.h"
 #include "transform/Mem2Reg.h"
 #include "transform/SimplifyCFG.h"
-#include "vm/VM.h"
 
 #include <cstdio>
 #include <fstream>
@@ -386,14 +385,8 @@ int main(int Argc, char **Argv) {
     if (Backend == ExecBackend::Vm) {
       // Profile-only campaigns on the VM must not silently degrade:
       // report (and let tests assert) the interpreter-fallback total.
-      auto &Reg = obs::MetricsRegistry::global();
-      uint64_t Fallbacks = Reg.counter("vm.fallback.compile").value() +
-                           Reg.counter("vm.fallback.observer").value() +
-                           Reg.counter("vm.fallback.profile_context").value() +
-                           Reg.counter("vm.fallback.trace").value() +
-                           Reg.counter("vm.fallback.other").value();
       std::printf("profile backend: vm (%llu interpreter fallbacks)\n",
-                  static_cast<unsigned long long>(Fallbacks));
+                  static_cast<unsigned long long>(vmFallbackTotal()));
     }
 
     if (Protect) {
@@ -420,7 +413,8 @@ int main(int Argc, char **Argv) {
       BaseHarness.setPreferredBackend(Backend);
       CostProfiler BaseProf(BaseLayout, CostProfiler::Mode::Counting,
                             Prof.model());
-      ExecutionRecord BR = BaseHarness.executeProfiled(BaseLayout, BaseProf);
+      ExecutionRecord BR = BaseHarness.run(BaseLayout, nullptr, UINT64_MAX,
+                                           {.Prof = &BaseProf});
       if (BR.Status == RunStatus::Finished && BR.OutputValid) {
         if (!attributeOverhead(*BaseM, BaseProf.flatCounts(), *M,
                                Prof.flatCounts(), Prof.model(), PS, &Err)) {
@@ -622,77 +616,47 @@ int main(int Argc, char **Argv) {
   }
 
   FaultPlan Plan;
-  bool HavePlan = false;
-  if (FaultStep >= 0) {
-    Plan.TargetValueStep = static_cast<uint64_t>(FaultStep);
-    Plan.BitDraw = static_cast<uint64_t>(FaultBit);
-    HavePlan = true;
-  }
-  const uint64_t Budget =
-      MaxSteps > 0 ? static_cast<uint64_t>(MaxSteps) : UINT64_MAX;
-
-  RunStatus S;
-  TrapKind Trap = TrapKind::None;
-  uint64_t Steps = 0;
-  bool FaultInjected = false;
-  RtValue Ret;
+  Plan.TargetValueStep = static_cast<uint64_t>(FaultStep);
+  Plan.BitDraw = static_cast<uint64_t>(FaultBit);
+  ProgramExecutor::Config RunCfg;
+  RunCfg.Entry = RunFn;
+  RunCfg.Args = std::move(Args);
+  ProgramExecutor Exec(std::move(RunCfg));
+  Exec.setBackend(Backend);
+  ProgramExecutor::Run R;
   {
     obs::PhaseSpan Span("cc.run", obs::AttrSet()
                                       .add("function", RunFn)
                                       .add("backend", BackendName));
-    std::unique_ptr<vm::VmProgram> Prog;
-    if (Backend == ExecBackend::Vm) {
-      std::string Err;
-      Prog = vm::compile(Layout, &Err);
-      if (!Prog)
-        std::fprintf(stderr,
-                     "warning: vm compile failed (%s); falling back to "
-                     "the interpreter\n",
-                     Err.empty() ? "unsupported construct" : Err.c_str());
-    }
-    if (Prog) {
-      vm::VmContext VCtx(*Prog);
-      vm::VmContext::Result V = VCtx.run(
-          Prog->indexOf(RunFn), Args, HavePlan ? &Plan : nullptr, Budget);
-      S = V.Status;
-      Trap = V.Trap;
-      Steps = V.Steps;
-      FaultInjected = V.FaultInjected;
-      Ret = V.ReturnValue;
-    } else {
-      ExecutionContext Ctx(Layout);
-      if (HavePlan)
-        Ctx.setFaultPlan(Plan);
-      Ctx.start(F, Args);
-      S = Ctx.run(Budget);
-      Trap = Ctx.trap();
-      Steps = Ctx.steps();
-      FaultInjected = Ctx.faultWasInjected();
-      if (S == RunStatus::Finished)
-        Ret = Ctx.returnValue();
-    }
+    R = Exec.run(Layout, FaultStep >= 0 ? &Plan : nullptr,
+                 MaxSteps > 0 ? static_cast<uint64_t>(MaxSteps) : UINT64_MAX);
     Span.addAttr(obs::AttrSet()
-                     .add("status", runStatusName(S))
-                     .add("steps", Steps));
+                     .add("status", runStatusName(R.Rec.Status))
+                     .add("steps", R.Rec.Steps));
   }
+  if (R.Rec.FallbackReason)
+    std::fprintf(stderr,
+                 "warning: vm fallback (%s); ran on the interpreter\n",
+                 R.Rec.FallbackReason);
 
-  switch (S) {
+  switch (R.Rec.Status) {
   case RunStatus::Finished: {
     if (F->returnType().isF64())
-      std::printf("result: %.17g\n", Ret.asF64());
+      std::printf("result: %.17g\n", R.ReturnValue.asF64());
     else if (!F->returnType().isVoid())
-      std::printf("result: %lld\n", static_cast<long long>(Ret.asI64()));
+      std::printf("result: %lld\n",
+                  static_cast<long long>(R.ReturnValue.asI64()));
     std::printf("executed %llu instructions%s\n",
-                static_cast<unsigned long long>(Steps),
-                FaultInjected ? " (fault injected)" : "");
+                static_cast<unsigned long long>(R.Rec.Steps),
+                R.Rec.FaultInjected ? " (fault injected)" : "");
     return 0;
   }
   case RunStatus::Detected:
     std::printf("fault detected by a soc.check after %llu instructions\n",
-                static_cast<unsigned long long>(Steps));
+                static_cast<unsigned long long>(R.Rec.Steps));
     return 3;
   case RunStatus::Trapped:
-    std::printf("trap: %s\n", trapKindName(Trap));
+    std::printf("trap: %s\n", trapKindName(R.Rec.Trap));
     return 4;
   case RunStatus::OutOfSteps:
     std::printf("step budget exceeded (possible hang)\n");
