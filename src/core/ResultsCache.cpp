@@ -17,8 +17,15 @@
 
 using namespace ipas;
 
+/// Version of the code behind a cached evaluation. Bump it in any change
+/// that moves results or timings (a pass, the SVM, a workload, the grid
+/// search), or cached entries from the older code would be served.
+/// 2: parallel grid search (same results, new TrainSeconds).
+static constexpr uint64_t CodeVersion = 2;
+
 uint64_t ipas::pipelineConfigHash(const PipelineConfig &Cfg) {
-  // FNV-1a over the fields that change evaluation results.
+  // FNV-1a over the code version and the fields that change evaluation
+  // results.
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
     for (int B = 0; B != 8; ++B) {
@@ -26,6 +33,7 @@ uint64_t ipas::pipelineConfigHash(const PipelineConfig &Cfg) {
       H *= 1099511628211ull;
     }
   };
+  Mix(CodeVersion);
   Mix(static_cast<uint64_t>(Cfg.InputLevel));
   Mix(Cfg.TrainSamples);
   Mix(Cfg.EvalRuns);

@@ -23,7 +23,8 @@
 
 namespace ipas {
 
-/// Stable hash of the evaluation-relevant configuration fields.
+/// Stable hash of the evaluation-relevant configuration fields and of a
+/// code-version constant bumped whenever results or timings change.
 uint64_t pipelineConfigHash(const PipelineConfig &Cfg);
 
 /// Serializes \p WE (aggregates only) to text.

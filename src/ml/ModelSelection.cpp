@@ -10,7 +10,11 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 using namespace ipas;
 
@@ -21,35 +25,59 @@ double ipas::fScore(const ClassAccuracies &A) {
   return 2.0 * A.Accuracy1 * A.Accuracy2 / Sum;
 }
 
-ClassAccuracies ipas::evaluateModel(const SvmModel &Model,
-                                    const Dataset &Test) {
-  size_t Correct1 = 0, Total1 = 0, Correct2 = 0, Total2 = 0;
-  for (size_t I = 0; I != Test.size(); ++I) {
-    int Pred = Model.predict(Test.X[I]);
-    if (Test.Y[I] > 0) {
-      ++Total1;
-      if (Pred > 0)
-        ++Correct1;
-    } else {
-      ++Total2;
-      if (Pred < 0)
-        ++Correct2;
+namespace {
+
+/// Correct/total counts per class ([0]: +1 samples, [1]: -1 samples).
+/// Folds pool by summing counts, so a pooled score does not depend on the
+/// order its folds ran in.
+struct ClassTally {
+  size_t Correct[2] = {}, Total[2] = {};
+
+  void add(const SvmModel &Model, const Dataset &Test) {
+    for (size_t I = 0; I != Test.size(); ++I) {
+      bool Positive = Test.Y[I] > 0;
+      ++Total[!Positive];
+      Correct[!Positive] += (Model.predict(Test.X[I]) > 0) == Positive;
     }
   }
-  ClassAccuracies A;
-  A.Accuracy1 = Total1 ? static_cast<double>(Correct1) /
-                             static_cast<double>(Total1)
-                       : 0.0;
-  A.Accuracy2 = Total2 ? static_cast<double>(Correct2) /
-                             static_cast<double>(Total2)
-                       : 0.0;
-  return A;
+  void add(const ClassTally &O) {
+    for (size_t C = 0; C != 2; ++C) {
+      Correct[C] += O.Correct[C];
+      Total[C] += O.Total[C];
+    }
+  }
+  ClassAccuracies accuracies() const {
+    auto Ratio = [this](size_t C) {
+      return Total[C] ? static_cast<double>(Correct[C]) /
+                            static_cast<double>(Total[C])
+                      : 0.0;
+    };
+    return {Ratio(0), Ratio(1)};
+  }
+};
+
+/// One cross-validation fold. Train keeps the dataset's row order, and
+/// TrainIdx holds those rows' indices into the full dataset.
+struct Fold {
+  std::vector<size_t> TrainIdx;
+  Dataset Train, Test;
+};
+
+} // namespace
+
+ClassAccuracies ipas::evaluateModel(const SvmModel &Model,
+                                    const Dataset &Test) {
+  ClassTally T;
+  T.add(Model, Test);
+  return T.accuracies();
 }
 
-/// Builds stratified fold assignments: each class's samples are shuffled
-/// and dealt round-robin so every fold sees the minority class.
-static std::vector<unsigned> stratifiedFolds(const Dataset &D,
-                                             unsigned Folds, Rng &R) {
+/// Builds stratified folds: each class's samples are shuffled and dealt
+/// round-robin so every fold sees the minority class. Returns the usable
+/// folds in order; a tiny minority class can leave a fold without a class
+/// to train on (or, with fewer samples than folds, nothing to test).
+static std::vector<Fold> stratifiedFolds(const Dataset &D, unsigned Folds,
+                                         Rng &R) {
   std::vector<size_t> Pos, Neg;
   for (size_t I = 0; I != D.size(); ++I)
     (D.Y[I] > 0 ? Pos : Neg).push_back(I);
@@ -64,48 +92,81 @@ static std::vector<unsigned> stratifiedFolds(const Dataset &D,
     FoldOf[I] = Next++ % Folds;
   for (size_t I : Neg)
     FoldOf[I] = Next++ % Folds;
-  return FoldOf;
+
+  std::vector<Fold> Out(Folds);
+  for (size_t I = 0; I != D.size(); ++I)
+    for (unsigned F = 0; F != Folds; ++F) {
+      if (F == FoldOf[I]) {
+        Out[F].Test.add(D.X[I], D.Y[I]);
+        continue;
+      }
+      Out[F].TrainIdx.push_back(I);
+      Out[F].Train.add(D.X[I], D.Y[I]);
+    }
+  std::erase_if(Out, [](const Fold &F) {
+    return F.Train.countLabel(1) == 0 || F.Train.countLabel(-1) == 0 ||
+           F.Test.size() == 0;
+  });
+  return Out;
 }
 
 ClassAccuracies ipas::crossValidate(const Dataset &D, const SvmParams &P,
                                     unsigned Folds, Rng &R) {
-  assert(Folds >= 2 && "cross validation needs at least two folds");
-  std::vector<unsigned> FoldOf = stratifiedFolds(D, Folds, R);
+  if (Folds < 2)
+    return {};
+  ClassTally T;
+  for (const Fold &F : stratifiedFolds(D, Folds, R))
+    T.add(trainCSvc(F.Train, P), F.Test);
+  return T.accuracies();
+}
 
-  size_t Correct1 = 0, Total1 = 0, Correct2 = 0, Total2 = 0;
-  for (unsigned Fold = 0; Fold != Folds; ++Fold) {
-    Dataset Train, Test;
-    for (size_t I = 0; I != D.size(); ++I) {
-      if (FoldOf[I] == Fold)
-        Test.add(D.X[I], D.Y[I]);
-      else
-        Train.add(D.X[I], D.Y[I]);
-    }
-    if (Train.countLabel(1) == 0 || Train.countLabel(-1) == 0 ||
-        Test.size() == 0)
-      continue; // degenerate fold (tiny minority class)
-    SvmModel Model = trainCSvc(Train, P);
-    for (size_t I = 0; I != Test.size(); ++I) {
-      int Pred = Model.predict(Test.X[I]);
-      if (Test.Y[I] > 0) {
-        ++Total1;
-        if (Pred > 0)
-          ++Correct1;
-      } else {
-        ++Total2;
-        if (Pred < 0)
-          ++Correct2;
+/// Runs Body(0) .. Body(N - 1), each exactly once, on up to
+/// hardware_concurrency() threads (the caller is one of them) that claim
+/// indices in order. Every thread is joined on every path; the first
+/// exception a body throws stops further claims and is rethrown here.
+template <typename BodyFn> static void parallelFor(size_t N, BodyFn Body) {
+  unsigned HW = std::thread::hardware_concurrency();
+  size_t Workers = std::min<size_t>(HW ? HW : 1, N);
+  std::atomic<size_t> Next{0};
+  std::mutex ErrorMu;
+  std::exception_ptr Error;
+  auto Work = [&] {
+    for (size_t K; (K = Next.fetch_add(1)) < N;) {
+      try {
+        Body(K);
+      } catch (...) {
+        std::lock_guard<std::mutex> Lock(ErrorMu);
+        if (!Error)
+          Error = std::current_exception();
+        Next.store(N);
       }
     }
+  };
+  std::vector<std::thread> Pool;
+  Pool.reserve(Workers);
+  try {
+    while (Pool.size() + 1 < Workers)
+      Pool.emplace_back(Work);
+  } catch (...) {
+    // A thread that cannot start only means less parallelism, never other
+    // results: the threads that did start and the caller claim every unit.
   }
-  ClassAccuracies A;
-  A.Accuracy1 =
-      Total1 ? static_cast<double>(Correct1) / static_cast<double>(Total1)
-             : 0.0;
-  A.Accuracy2 =
-      Total2 ? static_cast<double>(Correct2) / static_cast<double>(Total2)
-             : 0.0;
-  return A;
+  Work();
+  for (std::thread &Th : Pool)
+    Th.join();
+  if (Error)
+    std::rethrow_exception(Error);
+}
+
+/// The rows and columns \p Idx (ascending) of the N x N matrix \p K.
+static std::vector<float> gatherKernel(const std::vector<float> &K, size_t N,
+                                       const std::vector<size_t> &Idx) {
+  std::vector<float> Sub;
+  Sub.reserve(Idx.size() * Idx.size());
+  for (size_t Row : Idx)
+    for (size_t Col : Idx)
+      Sub.push_back(K[Row * N + Col]);
+  return Sub;
 }
 
 /// Log-spaced values from Lo to Hi inclusive.
@@ -126,6 +187,9 @@ static std::vector<double> logSpace(double Lo, double Hi, unsigned Steps) {
 
 std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
                                            const GridSearchConfig &Cfg) {
+  std::vector<RankedConfig> Results;
+  if (Cfg.Folds < 2)
+    return Results;
   std::vector<double> Cs = logSpace(Cfg.CMin, Cfg.CMax, Cfg.CSteps);
   std::vector<double> Gammas =
       logSpace(Cfg.GammaMin, Cfg.GammaMax, Cfg.GammaSteps);
@@ -140,24 +204,49 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
       .counter("ml.grid.configs")
       .inc(Cs.size() * Gammas.size());
 
-  std::vector<RankedConfig> Results;
+  // Every configuration scores on the same fold split, the one
+  // crossValidate would draw from Rng(Cfg.Seed ^ 0x9e37).
+  Rng FoldRng(Cfg.Seed ^ 0x9e37);
+  std::vector<Fold> Split = stratifiedFolds(D, Cfg.Folds, FoldRng);
+
+  // Per gamma: one kernel matrix, sliced per fold, then one unit per
+  // (C, fold) on the worker pool, largest C (the longest fits) claimed
+  // first. A unit writes only its own slot, and a configuration sums its
+  // slots in fold order, so the ranking is the serial one whatever the
+  // thread count or schedule.
   Results.reserve(Cs.size() * Gammas.size());
-  Rng R(Cfg.Seed);
-  // Use the same fold split for every configuration so scores are
-  // comparable (the Rng is re-seeded per configuration).
-  for (double Gamma : Gammas)
-    for (double C : Cs) {
+  std::vector<std::vector<float>> FoldK(Split.size());
+  for (double Gamma : Gammas) {
+    {
+      std::vector<float> K = rbfKernelMatrix(D.X, Gamma);
+      for (size_t F = 0; F != Split.size(); ++F)
+        FoldK[F] = gatherKernel(K, D.size(), Split[F].TrainIdx);
+    }
+    auto Params = [&](size_t CI) {
       SvmParams P;
-      P.C = C;
+      P.C = Cs[CI];
       P.Gamma = Gamma;
       P.MaxIterations = Cfg.MaxIterations;
-      Rng FoldRng(Cfg.Seed ^ 0x9e37);
+      return P;
+    };
+    std::vector<ClassTally> Slots(Cs.size() * Split.size());
+    parallelFor(Slots.size(), [&](size_t K) {
+      size_t U = Slots.size() - 1 - K;
+      size_t CI = U / Split.size(), F = U % Split.size();
+      Slots[U].add(solveCSvc(Split[F].Train, FoldK[F], Params(CI)),
+                   Split[F].Test);
+    });
+    for (size_t CI = 0; CI != Cs.size(); ++CI) {
+      ClassTally T;
+      for (size_t F = 0; F != Split.size(); ++F)
+        T.add(Slots[CI * Split.size() + F]);
       RankedConfig RC;
-      RC.Params = P;
-      RC.Accuracies = crossValidate(D, P, Cfg.Folds, FoldRng);
+      RC.Params = Params(CI);
+      RC.Accuracies = T.accuracies();
       RC.FScore = fScore(RC.Accuracies);
       Results.push_back(RC);
     }
+  }
   std::stable_sort(Results.begin(), Results.end(),
                    [](const RankedConfig &A, const RankedConfig &B) {
                      return A.FScore > B.FScore;

@@ -35,7 +35,10 @@ double fScore(const ClassAccuracies &A);
 ClassAccuracies evaluateModel(const SvmModel &Model, const Dataset &Test);
 
 /// Stratified k-fold cross validation of one parameter setting. Returns
-/// the pooled per-class accuracies over all folds.
+/// the pooled per-class accuracies over all folds; folds whose training
+/// set lacks a class, or whose test set is empty, are skipped. \p Folds
+/// must be at least 2: with fewer, in every build, the result is {0, 0}
+/// and \p R is left untouched.
 ClassAccuracies crossValidate(const Dataset &D, const SvmParams &P,
                               unsigned Folds, Rng &R);
 
@@ -46,7 +49,7 @@ struct GridSearchConfig {
   double GammaMin = 1e-5;
   double GammaMax = 1.0;
   unsigned GammaSteps = 20; ///< 25 x 20 = the paper's 500 configurations.
-  unsigned Folds = 5;
+  unsigned Folds = 5; ///< At least 2 (see gridSearch).
   size_t MaxIterations = 200000;
   uint64_t Seed = 0x5eed;
 };
@@ -59,8 +62,12 @@ struct RankedConfig {
 };
 
 /// Exhaustive grid search over log-spaced (C, gamma); returns all
-/// configurations sorted by descending F-score. Take the first N for the
-/// paper's "top-N configurations" methodology (§6.1).
+/// configurations sorted by descending F-score (grid order, gamma-major,
+/// on ties). Take the first N for the paper's "top-N configurations"
+/// methodology (§6.1). Each configuration's score equals crossValidate's
+/// with a fresh Rng(Cfg.Seed ^ 0x9e37), bit for bit, whatever the number
+/// of threads the search runs on. Returns an empty ranking when
+/// Cfg.Folds < 2.
 std::vector<RankedConfig> gridSearch(const Dataset &D,
                                      const GridSearchConfig &Cfg);
 

@@ -7,7 +7,8 @@
 /// SMO in the Fan–Chen–Lin style used by LIBSVM: at each iteration the
 /// maximal violating pair (i from I_up, j from I_low) is selected by
 /// first-order information, the two alphas are updated analytically under
-/// the box constraints, and the gradient is maintained incrementally.
+/// the box constraints, and the gradient is maintained incrementally in
+/// the same pass that selects the next pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +40,34 @@ double SvmModel::decision(const std::vector<double> &X) const {
   return Sum;
 }
 
+std::vector<float>
+ipas::rbfKernelMatrix(const std::vector<std::vector<double>> &X,
+                      double Gamma) {
+  // Float halves the footprint (N is at most a few thousand in every IPAS
+  // training configuration, DESIGN.md "Model selection"); gridSearch
+  // builds one matrix per gamma and slices it per fold.
+  const size_t N = X.size();
+  std::vector<float> K(N * N);
+  for (size_t I = 0; I != N; ++I) {
+    K[I * N + I] = 1.0f; // exp(0)
+    for (size_t J = I + 1; J != N; ++J) {
+      float V = static_cast<float>(rbfKernel(X[I], X[J], Gamma));
+      K[I * N + J] = V;
+      K[J * N + I] = V;
+    }
+  }
+  return K;
+}
+
 SvmModel ipas::trainCSvc(const Dataset &D, const SvmParams &P) {
+  return solveCSvc(D, rbfKernelMatrix(D.X, P.Gamma), P);
+}
+
+SvmModel ipas::solveCSvc(const Dataset &D, const std::vector<float> &K,
+                         const SvmParams &P) {
   const size_t N = D.size();
   assert(N > 0 && "cannot train on an empty dataset");
+  assert(K.size() == N * N && "kernel matrix does not match the dataset");
   size_t NumPos = D.countLabel(1);
   size_t NumNeg = N - NumPos;
   assert(NumPos > 0 && NumNeg > 0 && "need samples of both classes");
@@ -52,52 +78,46 @@ SvmModel ipas::trainCSvc(const Dataset &D, const SvmParams &P) {
   const double CPos = P.C * WPos;
   const double CNeg = P.C;
 
-  // Precompute the kernel matrix in float (N <= a few thousand in every
-  // IPAS training configuration; see DESIGN.md).
-  std::vector<float> K(N * N);
-  for (size_t I = 0; I != N; ++I) {
-    K[I * N + I] = 1.0f; // exp(0)
-    for (size_t J = I + 1; J != N; ++J) {
-      float V = static_cast<float>(rbfKernel(D.X[I], D.X[J], P.Gamma));
-      K[I * N + J] = V;
-      K[J * N + I] = V;
-    }
-  }
-
   std::vector<double> Alpha(N, 0.0);
-  // Gradient of the dual objective: G_i = sum_j y_i y_j K_ij alpha_j - 1.
-  std::vector<double> G(N, -1.0);
   std::vector<double> Cap(N);
-  for (size_t I = 0; I != N; ++I)
+  // V_i = -y_i G_i, where G_i = sum_j y_i y_j K_ij alpha_j - 1 is the
+  // gradient of the dual objective; V is what working-set selection ranks.
+  // Since y_i = +-1, maintaining V instead of G rounds exactly alike.
+  std::vector<double> V(N);
+  // Membership in I_up / I_low; only the updated pair can change.
+  std::vector<unsigned char> Up(N), Low(N);
+  for (size_t I = 0; I != N; ++I) {
     Cap[I] = D.Y[I] > 0 ? CPos : CNeg;
+    V[I] = static_cast<double>(D.Y[I]); // G starts at -1
+  }
+  auto Refresh = [&](size_t I) {
+    Up[I] = (D.Y[I] > 0 && Alpha[I] < Cap[I]) ||
+            (D.Y[I] < 0 && Alpha[I] > 0.0);
+    Low[I] = (D.Y[I] > 0 && Alpha[I] > 0.0) ||
+             (D.Y[I] < 0 && Alpha[I] < Cap[I]);
+  };
+  for (size_t I = 0; I != N; ++I)
+    Refresh(I);
 
-  auto InUp = [&](size_t I) {
-    return (D.Y[I] > 0 && Alpha[I] < Cap[I]) ||
-           (D.Y[I] < 0 && Alpha[I] > 0.0);
+  // Working-set selection: i maximizes V over I_up, j minimizes it over
+  // I_low, first index on ties. It runs fused with the gradient update of
+  // the previous step; the loop stops when the KKT gap closes.
+  const double Inf = std::numeric_limits<double>::infinity();
+  double GMax = -Inf, GMin = Inf;
+  size_t Imax = N, Jmin = N;
+  auto Consider = [&](size_t T, double VT) {
+    bool NewMax = Up[T] && VT > GMax;
+    GMax = NewMax ? VT : GMax;
+    Imax = NewMax ? T : Imax;
+    bool NewMin = Low[T] && VT < GMin;
+    GMin = NewMin ? VT : GMin;
+    Jmin = NewMin ? T : Jmin;
   };
-  auto InLow = [&](size_t I) {
-    return (D.Y[I] > 0 && Alpha[I] > 0.0) ||
-           (D.Y[I] < 0 && Alpha[I] < Cap[I]);
-  };
+  for (size_t T = 0; T != N; ++T)
+    Consider(T, V[T]);
 
   size_t Iter = 0;
   for (; Iter != P.MaxIterations; ++Iter) {
-    // Working-set selection: i maximizes -y_i G_i over I_up, j minimizes
-    // it over I_low; stop when the KKT gap closes.
-    double GMax = -std::numeric_limits<double>::infinity();
-    double GMin = std::numeric_limits<double>::infinity();
-    size_t Imax = N, Jmin = N;
-    for (size_t I = 0; I != N; ++I) {
-      double V = -static_cast<double>(D.Y[I]) * G[I];
-      if (InUp(I) && V > GMax) {
-        GMax = V;
-        Imax = I;
-      }
-      if (InLow(I) && V < GMin) {
-        GMin = V;
-        Jmin = I;
-      }
-    }
     if (Imax == N || Jmin == N || GMax - GMin < P.Epsilon)
       break;
 
@@ -125,14 +145,21 @@ SvmModel ipas::trainCSvc(const Dataset &D, const SvmParams &P) {
     Shift = Yj * (Alpha[J] - OldAj);
     Alpha[I] = OldAi - Yi * Shift;
     Alpha[I] = std::clamp(Alpha[I], 0.0, Cap[I]);
+    Refresh(I);
+    Refresh(J);
 
     double DAi = (Alpha[I] - OldAi) * Yi;
     double DAj = (Alpha[J] - OldAj) * Yj;
     if (DAi == 0.0 && DAj == 0.0)
       break; // numerically stuck
-    for (size_t T = 0; T != N; ++T)
-      G[T] += static_cast<double>(D.Y[T]) *
-              (DAi * Ki[T] + DAj * Kj[T]);
+    GMax = -Inf;
+    GMin = Inf;
+    Imax = Jmin = N;
+    for (size_t T = 0; T != N; ++T) {
+      double VT = V[T] - (DAi * Ki[T] + DAj * Kj[T]);
+      V[T] = VT;
+      Consider(T, VT);
+    }
   }
 
   // Bias from the free support vectors (fall back to the KKT midpoint).
@@ -141,15 +168,14 @@ SvmModel ipas::trainCSvc(const Dataset &D, const SvmParams &P) {
   double UpBound = -std::numeric_limits<double>::infinity();
   double LowBound = std::numeric_limits<double>::infinity();
   for (size_t I = 0; I != N; ++I) {
-    double V = -static_cast<double>(D.Y[I]) * G[I];
     if (Alpha[I] > 0.0 && Alpha[I] < Cap[I]) {
-      BiasSum += V;
+      BiasSum += V[I];
       ++FreeCount;
     }
-    if (InUp(I))
-      UpBound = std::max(UpBound, V);
-    if (InLow(I))
-      LowBound = std::min(LowBound, V);
+    if (Up[I])
+      UpBound = std::max(UpBound, V[I]);
+    if (Low[I])
+      LowBound = std::min(LowBound, V[I]);
   }
   double Bias = FreeCount ? BiasSum / static_cast<double>(FreeCount)
                           : (UpBound + LowBound) / 2.0;
@@ -158,7 +184,7 @@ SvmModel ipas::trainCSvc(const Dataset &D, const SvmParams &P) {
   // f(alpha) = 0.5 alpha'Q alpha - e'alpha = 0.5 (alpha'G - e'alpha).
   double AlphaDotG = 0.0, AlphaSum = 0.0;
   for (size_t I = 0; I != N; ++I) {
-    AlphaDotG += Alpha[I] * G[I];
+    AlphaDotG += Alpha[I] * (-static_cast<double>(D.Y[I]) * V[I]);
     AlphaSum += Alpha[I];
   }
   double Objective = 0.5 * (AlphaDotG - AlphaSum);

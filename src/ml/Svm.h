@@ -6,10 +6,10 @@
 ///
 /// \file
 /// A support vector classifier in the LIBSVM mold (the paper uses Chang &
-/// Lin's C-SVM): the dual problem is solved by Sequential Minimal
-/// Optimization with maximal-violating-pair working-set selection, an RBF
-/// kernel, and per-class penalty weights to cope with the heavy class
-/// imbalance of SOC training data (3-10% positives, §4.3.1).
+/// Lin's C-SVM): the dual problem is solved by SMO with Fan–Chen–Lin
+/// maximal-violating-pair working-set selection, an RBF kernel, and
+/// per-class penalty weights to cope with the heavy class imbalance of SOC
+/// training data (3-10% positives, §4.3.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +52,8 @@ public:
   double objective() const { return FinalObjective; }
 
 private:
-  friend SvmModel trainCSvc(const Dataset &D, const SvmParams &P);
+  friend SvmModel solveCSvc(const Dataset &D, const std::vector<float> &K,
+                            const SvmParams &P);
 
   std::vector<std::vector<double>> SupportVectors;
   std::vector<double> Coefficients; ///< alpha_i * y_i per support vector.
@@ -63,8 +64,22 @@ private:
 };
 
 /// Trains on \p D (features should be pre-scaled). Requires at least one
-/// sample of each class.
+/// sample of each class. Equivalent to
+/// solveCSvc(D, rbfKernelMatrix(D.X, P.Gamma), P).
 SvmModel trainCSvc(const Dataset &D, const SvmParams &P);
+
+/// The N x N row-major kernel matrix of \p X in float: entry (I, J) is
+/// rbfKernel(X[min(I, J)], X[max(I, J)], Gamma), the diagonal exactly 1.
+std::vector<float> rbfKernelMatrix(const std::vector<std::vector<double>> &X,
+                                   double Gamma);
+
+/// The solver behind trainCSvc: trains on \p D given its kernel matrix
+/// \p K, rbfKernelMatrix(D.X, P.Gamma). If D's rows are a subset of a
+/// larger dataset's, kept in order, the matching rows and columns of that
+/// dataset's matrix are the same bits. Counts every fit under `ml.svm.*`
+/// and may run on any thread.
+SvmModel solveCSvc(const Dataset &D, const std::vector<float> &K,
+                   const SvmParams &P);
 
 /// RBF kernel exp(-gamma * ||A - B||^2).
 double rbfKernel(const std::vector<double> &A, const std::vector<double> &B,

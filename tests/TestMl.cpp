@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 using namespace ipas;
 
@@ -36,6 +38,19 @@ Dataset makeXor(size_t PerQuadrant, Rng &R) {
     D.add({-A, -B}, 1);
     D.add({-A, B}, -1);
     D.add({A, -B}, -1);
+  }
+  return D;
+}
+
+/// IS-like training rows: \p N samples on a 4x4 lattice (so feature rows
+/// repeat), the first \p Positives labeled +1 whatever their features (so
+/// repeated rows carry conflicting labels).
+Dataset makeLattice(size_t N, size_t Positives, Rng &R) {
+  Dataset D;
+  for (size_t I = 0; I != N; ++I) {
+    double A = static_cast<double>(R.nextBelow(4)) / 3.0;
+    double B = static_cast<double>(R.nextBelow(4)) / 3.0;
+    D.add({A, B, 0.5}, I < Positives ? 1 : -1);
   }
   return D;
 }
@@ -149,6 +164,46 @@ TEST(Svm, MaxIterationsBoundsWork) {
   EXPECT_LE(Model.iterationsUsed(), 10u);
 }
 
+TEST(Svm, PinnedSolutions) {
+  // Exact SMO outcomes; any change to the solver's arithmetic or its
+  // working-set selection moves at least one of them.
+  struct Case {
+    const char *Name;
+    Dataset D;
+    SvmParams P;
+    size_t Iterations;
+    double Objective, Bias;
+    size_t SupportVectors;
+  };
+  auto Params = [](double C, double Gamma, size_t MaxIterations = 200000) {
+    SvmParams P;
+    P.C = C;
+    P.Gamma = Gamma;
+    P.MaxIterations = MaxIterations;
+    return P;
+  };
+  Rng R1(1), R2(2), R6(6), R11(11);
+  std::vector<Case> Cases = {
+      {"blobs", makeBlobs(40, R1), Params(10.0, 0.5), 21,
+       -2.1507586559569178, 0.050572582044924319, 8},
+      {"xor", makeXor(30, R2), Params(50.0, 2.0), 370, -7.9565539387504156,
+       -1.3552527156068805e-20, 8},
+      // Stops at MaxIterations, not on the KKT gap.
+      {"xor-capped", makeXor(50, R6), Params(1e4, 5.0, 40), 40,
+       -10.020718453775268, 5.5195746962898407e-19, 22},
+      {"lattice", makeLattice(60, 12, R11), Params(100.0, 1.0), 6706,
+       -4317.3587295092602, 0.88294334274651975, 33},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    SvmModel M = trainCSvc(C.D, C.P);
+    EXPECT_EQ(M.iterationsUsed(), C.Iterations);
+    EXPECT_EQ(M.objective(), C.Objective);
+    EXPECT_EQ(M.bias(), C.Bias);
+    EXPECT_EQ(M.numSupportVectors(), C.SupportVectors);
+  }
+}
+
 TEST(FScore, MatchesPaperFormula) {
   ClassAccuracies A{0.8, 0.6};
   EXPECT_NEAR(fScore(A), 2.0 * 0.8 * 0.6 / 1.4, 1e-12);
@@ -214,4 +269,71 @@ TEST(GridSearch, PaperGridIs500Configurations) {
   EXPECT_DOUBLE_EQ(GC.CMax, 1e5);
   EXPECT_DOUBLE_EQ(GC.GammaMin, 1e-5);
   EXPECT_DOUBLE_EQ(GC.GammaMax, 1.0);
+}
+
+TEST(GridSearch, MatchesSerialCrossValidation) {
+  // The pooled search (one kernel per gamma, (C, fold) units on threads)
+  // must rank exactly as scoring each configuration with crossValidate
+  // and stable-sorting. The second dataset has a single positive, so the
+  // 5-fold split leaves fold 0 without one to train on.
+  for (auto [N, Positives] : {std::pair<size_t, size_t>{60, 12}, {31, 1}}) {
+    SCOPED_TRACE(N);
+    Rng R(11);
+    Dataset D = makeLattice(N, Positives, R);
+    GridSearchConfig GC;
+    GC.CSteps = 4;
+    GC.GammaSteps = 3;
+    GC.Folds = 5;
+    GC.MaxIterations = 5000;
+    std::vector<RankedConfig> All = gridSearch(D, GC);
+    ASSERT_EQ(All.size(), 12u);
+
+    // Grid order is gamma-major, both axes ascending.
+    std::vector<RankedConfig> Serial = All;
+    std::sort(Serial.begin(), Serial.end(),
+              [](const RankedConfig &A, const RankedConfig &B) {
+                return A.Params.Gamma != B.Params.Gamma
+                           ? A.Params.Gamma < B.Params.Gamma
+                           : A.Params.C < B.Params.C;
+              });
+    for (RankedConfig &RC : Serial) {
+      SvmParams P;
+      P.C = RC.Params.C;
+      P.Gamma = RC.Params.Gamma;
+      P.MaxIterations = GC.MaxIterations;
+      Rng FoldRng(GC.Seed ^ 0x9e37);
+      RC.Accuracies = crossValidate(D, P, GC.Folds, FoldRng);
+      RC.FScore = fScore(RC.Accuracies);
+    }
+    std::stable_sort(Serial.begin(), Serial.end(),
+                     [](const RankedConfig &A, const RankedConfig &B) {
+                       return A.FScore > B.FScore;
+                     });
+    for (size_t I = 0; I != All.size(); ++I) {
+      SCOPED_TRACE(I);
+      EXPECT_EQ(All[I].Params.C, Serial[I].Params.C);
+      EXPECT_EQ(All[I].Params.Gamma, Serial[I].Params.Gamma);
+      EXPECT_EQ(All[I].FScore, Serial[I].FScore);
+      EXPECT_EQ(All[I].Accuracies.Accuracy1, Serial[I].Accuracies.Accuracy1);
+      EXPECT_EQ(All[I].Accuracies.Accuracy2, Serial[I].Accuracies.Accuracy2);
+    }
+  }
+}
+
+TEST(GridSearch, RejectsFewerThanTwoFolds) {
+  // Checked in every build: zero folds used to divide by zero.
+  Rng R(12);
+  Dataset D = makeBlobs(10, R);
+  for (unsigned Folds : {0u, 1u}) {
+    SCOPED_TRACE(Folds);
+    GridSearchConfig GC;
+    GC.CSteps = 2;
+    GC.GammaSteps = 2;
+    GC.Folds = Folds;
+    EXPECT_TRUE(gridSearch(D, GC).empty());
+    Rng FoldRng(3);
+    ClassAccuracies A = crossValidate(D, SvmParams(), Folds, FoldRng);
+    EXPECT_EQ(A.Accuracy1, 0.0);
+    EXPECT_EQ(A.Accuracy2, 0.0);
+  }
 }

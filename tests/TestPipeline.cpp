@@ -234,4 +234,7 @@ TEST(ResultsCache, ConfigHashDistinguishesConfigs) {
   B = A;
   B.Grid.GammaSteps += 1;
   EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
+  // The code version is part of the key: the default config's hash before
+  // the threaded grid search (which changed TrainSeconds) must not match.
+  EXPECT_NE(pipelineConfigHash(A), 0x5dd622d41cfa0421ull);
 }
