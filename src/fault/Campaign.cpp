@@ -9,6 +9,7 @@
 #include "fault/Propagation.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/ParallelFor.h"
 
 #include <atomic>
 #include <chrono>
@@ -315,33 +316,28 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     });
   }
 
-  unsigned Threads = Cfg.NumThreads;
-  if (Threads <= 1 || Cfg.NumRuns < 2 * Threads) {
-    for (size_t Run = 0; Run != Cfg.NumRuns; ++Run)
-      RunOne(Run);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back([&, T] {
-        for (size_t Run = T; Run < Cfg.NumRuns; Run += Threads)
-          RunOne(Run);
-      });
-    for (std::thread &Th : Pool)
-      Th.join();
-  }
-
-  if (Monitor.joinable()) {
+  // Stops and joins the monitor; false when none was running.
+  auto StopMonitor = [&] {
+    if (!Monitor.joinable())
+      return false;
     {
       std::lock_guard<std::mutex> Lk(HbMutex);
       LoopDone = true;
     }
     HbCv.notify_all();
     Monitor.join();
-    // Terminal heartbeat, emitted serially after the join: done == runs,
-    // final == true. Live monitors key "campaign ended" off this.
-    EmitHeartbeat(true);
+    return true;
+  };
+  try {
+    Result.Threads = parallelFor(Cfg.NumRuns, Cfg.NumThreads, RunOne);
+  } catch (...) {
+    StopMonitor();
+    throw;
   }
+  // Terminal heartbeat, emitted serially after the join: done == runs,
+  // final == true. Live monitors key "campaign ended" off this.
+  if (StopMonitor())
+    EmitHeartbeat(true);
 
   // Injection-loop throughput, measured at the join on the heartbeat
   // clock so the manifest and the final heartbeat agree.

@@ -13,10 +13,10 @@
 #include "obs/BinCodec.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 using namespace ipas;
 
@@ -434,21 +434,9 @@ IncrementalResult ipas::runIncrementalCampaign(ProgramHarness &Harness,
     }
   };
 
-  unsigned Threads = Base.NumThreads;
-  if (Threads <= 1 || ToExecute.size() < 2 * Threads) {
-    for (size_t RowIdx : ToExecute)
-      RunOne(RowIdx);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back([&, T] {
-        for (size_t K = T; K < ToExecute.size(); K += Threads)
-          RunOne(ToExecute[K]);
-      });
-    for (std::thread &Th : Pool)
-      Th.join();
-  }
+  Result.Campaign.Threads =
+      parallelFor(ToExecute.size(), Base.NumThreads,
+                  [&](size_t K) { RunOne(ToExecute[K]); });
 
   for (const InjectionRecord &Rec : Result.Campaign.Records)
     ++Result.Campaign.Counts[static_cast<size_t>(Rec.Result)];

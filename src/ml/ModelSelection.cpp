@@ -8,13 +8,10 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 using namespace ipas;
 
@@ -120,44 +117,6 @@ ClassAccuracies ipas::crossValidate(const Dataset &D, const SvmParams &P,
   return T.accuracies();
 }
 
-/// Runs Body(0) .. Body(N - 1), each exactly once, on up to
-/// hardware_concurrency() threads (the caller is one of them) that claim
-/// indices in order. Every thread is joined on every path; the first
-/// exception a body throws stops further claims and is rethrown here.
-template <typename BodyFn> static void parallelFor(size_t N, BodyFn Body) {
-  unsigned HW = std::thread::hardware_concurrency();
-  size_t Workers = std::min<size_t>(HW ? HW : 1, N);
-  std::atomic<size_t> Next{0};
-  std::mutex ErrorMu;
-  std::exception_ptr Error;
-  auto Work = [&] {
-    for (size_t K; (K = Next.fetch_add(1)) < N;) {
-      try {
-        Body(K);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(ErrorMu);
-        if (!Error)
-          Error = std::current_exception();
-        Next.store(N);
-      }
-    }
-  };
-  std::vector<std::thread> Pool;
-  Pool.reserve(Workers);
-  try {
-    while (Pool.size() + 1 < Workers)
-      Pool.emplace_back(Work);
-  } catch (...) {
-    // A thread that cannot start only means less parallelism, never other
-    // results: the threads that did start and the caller claim every unit.
-  }
-  Work();
-  for (std::thread &Th : Pool)
-    Th.join();
-  if (Error)
-    std::rethrow_exception(Error);
-}
-
 /// The rows and columns \p Idx (ascending) of the N x N matrix \p K.
 static std::vector<float> gatherKernel(const std::vector<float> &K, size_t N,
                                        const std::vector<size_t> &Idx) {
@@ -230,7 +189,7 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
       return P;
     };
     std::vector<ClassTally> Slots(Cs.size() * Split.size());
-    parallelFor(Slots.size(), [&](size_t K) {
+    parallelFor(Slots.size(), hardwareWorkers(), [&](size_t K) {
       size_t U = Slots.size() - 1 - K;
       size_t CI = U / Split.size(), F = U % Split.size();
       Slots[U].add(solveCSvc(Split[F].Train, FoldK[F], Params(CI)),

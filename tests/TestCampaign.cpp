@@ -9,7 +9,11 @@
 #include "analysis/SocPropagation.h"
 #include "fault/Campaign.h"
 #include "fault/FunctionHarness.h"
+#include "fault/Incremental.h"
 #include "transform/Duplication.h"
+
+#include <atomic>
+#include <stdexcept>
 
 using namespace ipas;
 using namespace ipas::testutil;
@@ -51,6 +55,19 @@ const char *ToySrcWithBenign =
     "    }\n"
     "  return (int)(s * 1000.0);\n"
     "}\n";
+
+/// ToyHarness whose run throws on one fault plan (the tenth it is
+/// handed), as a harness whose execution fails outright would.
+struct ThrowingHarness : ToyHarness {
+  std::atomic<int> Planned{0};
+
+  ExecutionRecord run(const ModuleLayout &Layout, const FaultPlan *Plan,
+                      uint64_t StepBudget, const Instruments &With) override {
+    if (Plan && Planned.fetch_add(1) == 9)
+      throw std::runtime_error("harness failure");
+    return ToyHarness::run(Layout, Plan, StepBudget, With);
+  }
+};
 
 } // namespace
 
@@ -231,4 +248,29 @@ TEST(Campaign, FractionsSumToOne) {
                     Outcome::Masked, Outcome::SOC})
     Sum += R.fraction(O);
   EXPECT_NEAR(Sum, 1.0, 1e-12);
+}
+
+// A run that throws on a pooled worker stops the campaign and reaches the
+// caller once every worker (and the heartbeat monitor) has joined; it
+// must never take the process down through std::terminate.
+TEST(Campaign, ThrowingRunPropagatesFromThreadedCampaign) {
+  auto M = compile(ToySrc);
+  ModuleLayout Layout(*M);
+  ThrowingHarness H;
+  CampaignConfig CC;
+  CC.NumRuns = 200;
+  CC.NumThreads = 4;
+  CC.HeartbeatMs = 1;
+  EXPECT_THROW(runCampaign(H, Layout, CC), std::runtime_error);
+}
+
+TEST(Campaign, ThrowingRunPropagatesFromThreadedIncrementalCampaign) {
+  auto M = compile(ToySrc);
+  ModuleLayout Layout(*M);
+  ThrowingHarness H;
+  IncrementalConfig Cfg;
+  Cfg.Base.NumRuns = 200;
+  Cfg.Base.NumThreads = 4;
+  EXPECT_THROW(runIncrementalCampaign(H, Layout, *M, Cfg),
+               std::runtime_error);
 }

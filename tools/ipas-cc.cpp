@@ -581,7 +581,7 @@ int main(int Argc, char **Argv) {
       SIn.Label = "cc.campaign";
       SIn.SessionLabel = SessionLabel;
       SIn.Seed = CC.Seed;
-      SIn.Threads = CC.NumThreads;
+      SIn.Threads = R.Threads;
       SIn.Backend = Backend;
       SIn.Pruning = CC.ProvablyBenign != nullptr;
       SIn.Incremental = Incremental;
