@@ -21,7 +21,8 @@ using namespace ipas;
 /// that moves results or timings (a pass, the SVM, a workload, the grid
 /// search), or cached entries from the older code would be served.
 /// 2: parallel grid search (same results, new TrainSeconds).
-static constexpr uint64_t CodeVersion = 2;
+/// 3: threaded pipeline campaigns (same results, new TrainSeconds).
+static constexpr uint64_t CodeVersion = 3;
 
 uint64_t ipas::pipelineConfigHash(const PipelineConfig &Cfg) {
   // FNV-1a over the code version and the fields that change evaluation
