@@ -120,6 +120,7 @@ int main(int Argc, char **Argv) {
       Argc, Argv,
       "profile_overhead: clean-run throughput with cost profiling "
       "off / counting / calling-context");
+  BenchReport Report("profile_overhead", Opts);
   const size_t NumRuns = Opts.Cfg.EvalRuns;
 
   std::unique_ptr<Module> M = compileKernel();
@@ -150,7 +151,6 @@ int main(int Argc, char **Argv) {
   std::printf("  (%llu steps per run)\n",
               static_cast<unsigned long long>(Steps));
 
-  BenchReport Report("profile_overhead", Opts);
   Report.metric("steps_per_run", Steps);
   Report.metric("runs_per_sec_off", Off);
   Report.metric("runs_per_sec_counting", Counting);

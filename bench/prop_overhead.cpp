@@ -97,6 +97,7 @@ int main(int Argc, char **Argv) {
       Argc, Argv,
       "prop_overhead: campaign throughput with propagation tracing "
       "off / sampled 1-in-64 / always-on");
+  BenchReport Report("prop_overhead", Opts);
   const size_t NumRuns = Opts.Cfg.EvalRuns;
   const uint64_t Seed = Opts.Cfg.Seed;
 
@@ -128,7 +129,6 @@ int main(int Argc, char **Argv) {
   std::printf("  %-18s %12.0f %9.2fx %8zu\n", "always-on", Always,
               SlowAlways, TracedAlways);
 
-  BenchReport Report("prop_overhead", Opts);
   Report.metric("runs_per_sec_off", Off);
   Report.metric("runs_per_sec_sampled", Sampled);
   Report.metric("runs_per_sec_always", Always);

@@ -194,6 +194,7 @@ int main(int Argc, char **Argv) {
       Argc, Argv,
       "vm_profile_overhead: counting-profiled clean-run throughput, "
       "bytecode VM (plain and counting) vs interpreter (counting)");
+  BenchReport Report("vm_profile_overhead", Opts);
   const size_t NumRuns = Opts.Cfg.EvalRuns;
 
   std::unique_ptr<Module> M = compileKernel();
@@ -240,7 +241,6 @@ int main(int Argc, char **Argv) {
   std::printf("  %-18s %12.0f %9.2fx under vm counting\n",
               "interp counting", InterpCounting, Speedup);
 
-  BenchReport Report("vm_profile_overhead", Opts);
   Report.metric("runs_per_sec_vm_plain", VmPlain);
   Report.metric("runs_per_sec_vm_counting", VmCounting);
   Report.metric("runs_per_sec_interp_counting", InterpCounting);

@@ -118,6 +118,7 @@ int main(int Argc, char **Argv) {
       Argc, Argv,
       "vm_speedup: campaign throughput, tree-walking interpreter vs "
       "threaded-code bytecode VM");
+  BenchReport Report("vm_speedup", Opts);
   const size_t NumRuns = Opts.Cfg.EvalRuns;
   const uint64_t Seed = Opts.Cfg.Seed;
 
@@ -151,7 +152,6 @@ int main(int Argc, char **Argv) {
   std::printf("  %-18s %12.0f %9.2fx\n", "interpreter", Interp, 1.0);
   std::printf("  %-18s %12.0f %9.2fx\n", "bytecode vm", Vm, Speedup);
 
-  BenchReport Report("vm_speedup", Opts);
   Report.metric("runs_per_sec_interp", Interp);
   Report.metric("runs_per_sec_vm", Vm);
   Report.metric("speedup_x", Speedup);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -89,12 +90,62 @@ struct FaultMetrics {
 
 } // namespace
 
+CampaignRows ipas::planSampledRows(ProgramHarness &Harness,
+                                   const ModuleLayout &Layout,
+                                   const CampaignConfig &Cfg,
+                                   const ExecutionRecord &Clean) {
+  // Draw every plan up front so results do not depend on the thread
+  // count or scheduling.
+  CampaignRows Rows(Cfg.NumRuns);
+  Rng CampaignRng(Cfg.Seed);
+  for (FaultPlan &Plan : Rows.Plans) {
+    Plan.TargetValueStep = CampaignRng.nextBelow(Clean.ValueSteps);
+    Plan.BitDraw = CampaignRng.next();
+  }
+  // Injection-site pruning: a clean traced run maps each dynamic value
+  // step to its static instruction.
+  if (Cfg.ProvablyBenign) {
+    std::vector<unsigned> Trace = Harness.traceValueSteps(Layout);
+    if (Trace.size() == Clean.ValueSteps)
+      pruneBenignRows(*Cfg.ProvablyBenign, Trace, Rows);
+  }
+  return Rows;
+}
+
+void ipas::pruneBenignRows(const std::vector<bool> &ProvablyBenign,
+                           const std::vector<unsigned> &Trace,
+                           CampaignRows &Rows) {
+  // Plans whose target the static SOC-propagation analysis proved benign
+  // are classified Masked without executing — the outcome the execution
+  // would produce, since by construction the corruption reaches no
+  // store, call, return, branch, check, or trap-capable use.
+  for (size_t Row = 0; Row != Rows.Plans.size(); ++Row) {
+    unsigned Id = Trace[Rows.Plans[Row].TargetValueStep];
+    if (Id < ProvablyBenign.size() && ProvablyBenign[Id]) {
+      Rows.Dispositions[Row] = RowDisposition::Pruned;
+      Rows.Records[Row].InstructionId = Id;
+      Rows.Records[Row].Result = Outcome::Masked;
+    }
+  }
+}
+
 CampaignResult ipas::runCampaign(ProgramHarness &Harness,
                                  const ModuleLayout &Layout,
                                  const CampaignConfig &Cfg) {
+  return runPlannedCampaign(
+      Harness, Layout, Cfg, "campaign", [&](const ExecutionRecord &Clean) {
+        return planSampledRows(Harness, Layout, Cfg, Clean);
+      });
+}
+
+CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
+                                        const ModuleLayout &Layout,
+                                        const CampaignConfig &Cfg,
+                                        const char *DefaultLabel,
+                                        const RowPlanner &PlanRows) {
   CampaignResult Result;
 
-  const char *Label = Cfg.Label.empty() ? "campaign" : Cfg.Label.c_str();
+  const char *Label = Cfg.Label.empty() ? DefaultLabel : Cfg.Label.c_str();
   obs::PhaseSpan Span("campaign",
                       obs::AttrSet().add("label", Label));
 
@@ -124,6 +175,31 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   if (Budget < Clean.Steps + 1000)
     Budget = Clean.Steps + 1000;
 
+  // Every row's disposition is decided up front, so the threaded loop
+  // below never branches on shared mutable state.
+  CampaignRows Rows = PlanRows(Clean);
+  const size_t NumRows = Rows.Plans.size();
+  const std::vector<FaultPlan> &Plans = Rows.Plans;
+  const std::vector<RowDisposition> &Disposition = Rows.Dispositions;
+  Result.Records = std::move(Rows.Records);
+  {
+    std::vector<char> SiteSeen;
+    for (size_t Run = 0; Run != NumRows; ++Run) {
+      if (Disposition[Run] == RowDisposition::Reused) {
+        ++Result.ReusedRuns;
+      } else if (Disposition[Run] == RowDisposition::Pruned) {
+        ++Result.PrunedRuns;
+        unsigned Id = Result.Records[Run].InstructionId;
+        if (Id >= SiteSeen.size())
+          SiteSeen.resize(Id + 1, 0);
+        if (!SiteSeen[Id]) {
+          SiteSeen[Id] = 1;
+          ++Result.PrunedSites;
+        }
+      }
+    }
+  }
+
   // Everything needed to re-run this campaign bit-identically lives in
   // this one event (plus the harness identity the driver records in the
   // trace header): seed, run count, hang budget, and the prune decision.
@@ -132,53 +208,18 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
       obs::AttrSet()
           .add("label", Label)
           .addHex("seed", Cfg.Seed)
-          .add("runs", static_cast<uint64_t>(Cfg.NumRuns))
+          .add("runs", static_cast<uint64_t>(NumRows))
           .add("hang_factor", Cfg.HangFactor)
           .add("threads", Cfg.NumThreads)
           .add("backend", backendName(Cfg.Backend))
           .add("prune", Cfg.ProvablyBenign != nullptr)
           .add("clean_steps", Clean.Steps)
-          .add("clean_value_steps", Clean.ValueSteps));
-
-  // Draw every plan up front so results do not depend on the thread
-  // count or scheduling.
-  Rng CampaignRng(Cfg.Seed);
-  std::vector<FaultPlan> Plans(Cfg.NumRuns);
-  for (FaultPlan &Plan : Plans) {
-    Plan.TargetValueStep = CampaignRng.nextBelow(Clean.ValueSteps);
-    Plan.BitDraw = CampaignRng.next();
-  }
-
-  // Injection-site pruning: a clean traced run maps each dynamic value
-  // step to its static instruction. Plans whose target the static
-  // SOC-propagation analysis proved benign are classified Masked without
-  // executing — the outcome the execution would produce, since by
-  // construction the corruption reaches no store, call, return, branch,
-  // check, or trap-capable use. Decisions are made up front so the
-  // threaded loop below stays race-free.
-  std::vector<unsigned> Trace;
-  std::vector<char> Pruned(Cfg.NumRuns, 0);
-  if (Cfg.ProvablyBenign) {
-    Trace = Harness.traceValueSteps(Layout);
-    if (Trace.size() == Clean.ValueSteps) {
-      std::vector<char> SiteSeen(Cfg.ProvablyBenign->size(), 0);
-      for (size_t Run = 0; Run != Cfg.NumRuns; ++Run) {
-        unsigned Id = Trace[Plans[Run].TargetValueStep];
-        if (Id < Cfg.ProvablyBenign->size() && (*Cfg.ProvablyBenign)[Id]) {
-          Pruned[Run] = 1;
-          ++Result.PrunedRuns;
-          if (!SiteSeen[Id]) {
-            SiteSeen[Id] = 1;
-            ++Result.PrunedSites;
-          }
-        }
-      }
-    }
-  }
+          .add("clean_value_steps", Clean.ValueSteps)
+          .merge(Rows.Attrs));
 
   const bool Stats = obs::statsEnabled();
   const bool TraceRuns = Cfg.TraceRuns && obs::TraceSink::enabled();
-  size_t Every = Cfg.ProgressEvery ? Cfg.ProgressEvery : Cfg.NumRuns / 10;
+  size_t Every = Cfg.ProgressEvery ? Cfg.ProgressEvery : NumRows / 10;
   if (Every == 0)
     Every = 1;
   std::atomic<size_t> Done{0};
@@ -200,13 +241,13 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     double Rate =
         Elapsed > 0 ? static_cast<double>(DoneNow) / Elapsed : 0.0;
     double EtaS =
-        Rate > 0 ? static_cast<double>(Cfg.NumRuns - DoneNow) / Rate : 0.0;
+        Rate > 0 ? static_cast<double>(NumRows - DoneNow) / Rate : 0.0;
     obs::AttrSet A;
     A.add("label", Label)
         .add("seq", HeartbeatSeq.fetch_add(1, std::memory_order_relaxed))
         .add("wall_s", Elapsed)
         .add("done", static_cast<uint64_t>(DoneNow))
-        .add("runs", static_cast<uint64_t>(Cfg.NumRuns))
+        .add("runs", static_cast<uint64_t>(NumRows))
         .add("runs_per_sec", Rate)
         .add("eta_seconds", Final ? 0.0 : EtaS)
         .add("every_ms", static_cast<uint64_t>(Cfg.HeartbeatMs));
@@ -224,25 +265,34 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     obs::TraceSink::event("campaign.heartbeat", A);
   };
 
-  Result.Records.assign(Cfg.NumRuns, InjectionRecord());
   auto RunOne = [&](size_t Run) {
     const FaultPlan &Plan = Plans[Run];
     InjectionRecord &Rec = Result.Records[Run];
-    if (Pruned[Run]) {
-      Rec.InstructionId = Trace[Plan.TargetValueStep];
-      Rec.BitIndex = static_cast<unsigned>(Plan.BitDraw % 64);
-      Rec.TargetValueStep = Plan.TargetValueStep;
-      Rec.Result = Outcome::Masked;
+    Rec.BitIndex = static_cast<unsigned>(Plan.BitDraw % 64);
+    Rec.TargetValueStep = Plan.TargetValueStep;
+    switch (Disposition[Run]) {
+    case RowDisposition::Pruned:
       LivePruned.fetch_add(1, std::memory_order_relaxed);
-    } else {
+      break;
+    case RowDisposition::Reused:
+      break;
+    case RowDisposition::Execute: {
       uint64_t T0 = obs::monotonicMicros();
       ExecutionRecord R = Harness.execute(Layout, &Plan, Budget);
       uint64_t Us = obs::monotonicMicros() - T0;
-      assert((R.Status != RunStatus::Finished || R.FaultInjected) &&
-             "the clean prefix must always reach the target step");
+      // The clean prefix always reaches the target step, so a run that
+      // finishes with its fault unfired is a harness bug; counting it as
+      // Masked would inflate masking.
+      if (R.Status == RunStatus::Finished && !R.FaultInjected) {
+        char Msg[160];
+        std::snprintf(Msg, sizeof(Msg),
+                      "%s: run %zu finished without injecting its fault "
+                      "(target value step %llu)",
+                      Label, Run,
+                      static_cast<unsigned long long>(Plan.TargetValueStep));
+        throw std::logic_error(Msg);
+      }
       Rec.InstructionId = R.FaultedInstructionId;
-      Rec.BitIndex = static_cast<unsigned>(Plan.BitDraw % 64);
-      Rec.TargetValueStep = Plan.TargetValueStep;
       Rec.Result = classifyOutcome(R);
       Rec.LatencyUs =
           Us > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(Us);
@@ -264,6 +314,8 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
           obs::TraceSink::event("campaign.run", A);
         }
       }
+      break;
+    }
     }
     LiveOutcomes[static_cast<size_t>(Rec.Result)].fetch_add(
         1, std::memory_order_relaxed);
@@ -273,7 +325,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     // state). Throughput and ETA derive from the loop clock and go
     // through the metrics registry, so any concurrent exporter sees the
     // same numbers the log line prints.
-    if (Finished % Every == 0 || Finished == Cfg.NumRuns) {
+    if (Finished % Every == 0 || Finished == NumRows) {
       double Elapsed =
           static_cast<double>(obs::monotonicMicros() - LoopStartUs) * 1e-6;
       double Rate = Elapsed > 0 ? static_cast<double>(Finished) / Elapsed
@@ -281,18 +333,16 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
       if (Stats)
         FaultMetrics::get().RunsPerSec.set(Rate);
       double EtaS =
-          Rate > 0 ? static_cast<double>(Cfg.NumRuns - Finished) / Rate
-                   : 0.0;
+          Rate > 0 ? static_cast<double>(NumRows - Finished) / Rate : 0.0;
       if (obs::logEnabled(obs::Severity::Info))
         obs::logMessage(obs::Severity::Info,
                         "%s: %zu/%zu runs  %.0f runs/s  eta %.1fs", Label,
-                        Finished, Cfg.NumRuns, Rate, EtaS);
+                        Finished, NumRows, Rate, EtaS);
       obs::TraceSink::event("campaign.progress",
                             obs::AttrSet()
                                 .add("label", Label)
                                 .add("done", static_cast<uint64_t>(Finished))
-                                .add("runs",
-                                     static_cast<uint64_t>(Cfg.NumRuns))
+                                .add("runs", static_cast<uint64_t>(NumRows))
                                 .add("runs_per_sec", Rate)
                                 .add("eta_seconds", EtaS));
     }
@@ -329,7 +379,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     return true;
   };
   try {
-    Result.Threads = parallelFor(Cfg.NumRuns, Cfg.NumThreads, RunOne);
+    Result.Threads = parallelFor(NumRows, Cfg.NumThreads, RunOne);
   } catch (...) {
     StopMonitor();
     throw;
@@ -345,9 +395,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     double LoopSeconds =
         static_cast<double>(obs::monotonicMicros() - LoopStartUs) * 1e-6;
     Result.RunsPerSec =
-        LoopSeconds > 0
-            ? static_cast<double>(Cfg.NumRuns) / LoopSeconds
-            : 0.0;
+        LoopSeconds > 0 ? static_cast<double>(NumRows) / LoopSeconds : 0.0;
     Result.HeartbeatsEmitted =
         HeartbeatSeq.load(std::memory_order_relaxed);
   }
@@ -367,10 +415,10 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
     if (Harness.supportsInstruments()) {
       CleanReference Ref = captureCleanReference(Harness, Layout);
       if (Ref.Valid) {
-        for (size_t Run = 0; Run < Cfg.NumRuns;
-             Run += Cfg.PropSampleEvery) {
-          if (Pruned[Run])
-            continue; // provably benign: nothing propagates, by proof
+        for (size_t Run = 0; Run < NumRows; Run += Cfg.PropSampleEvery) {
+          // Pruned: nothing propagates, by proof. Reused: not run here.
+          if (Disposition[Run] != RowDisposition::Execute)
+            continue;
           obs::PhaseSpan PropSpan(
               "campaign.prop",
               obs::AttrSet().add("label", Label).add(
@@ -391,14 +439,14 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
                       "does not support observation",
                       Label);
     }
-    Result.SkippedTraceRuns = Cfg.NumRuns - Result.TracedRuns;
+    Result.SkippedTraceRuns = NumRows - Result.TracedRuns;
     // Sampling must never be silent: say what was traced and what was
     // not, in the log and in the trace.
     obs::logMessage(obs::Severity::Info,
                     "%s: propagation tracing: %zu of %zu injections "
                     "traced (1 in %zu sampled), %zu skipped",
-                    Label, Result.TracedRuns, Cfg.NumRuns,
-                    Cfg.PropSampleEvery, Result.SkippedTraceRuns);
+                    Label, Result.TracedRuns, NumRows, Cfg.PropSampleEvery,
+                    Result.SkippedTraceRuns);
     obs::TraceSink::event(
         "campaign.prop.sample",
         obs::AttrSet()
@@ -415,14 +463,14 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   if (Stats) {
     FaultMetrics &M = FaultMetrics::get();
     M.Campaigns.inc();
-    M.Runs.inc(Cfg.NumRuns);
+    M.Runs.inc(NumRows);
     M.PrunedRuns.inc(Result.PrunedRuns);
     for (size_t O = 0; O != NumOutcomes; ++O)
       M.ByOutcome[O]->inc(Result.Counts[O]);
   }
   obs::AttrSet DoneAttrs;
   DoneAttrs.add("label", Label)
-      .add("runs", static_cast<uint64_t>(Cfg.NumRuns))
+      .add("runs", static_cast<uint64_t>(NumRows))
       .add("pruned", static_cast<uint64_t>(Result.PrunedRuns))
       .add("vm_runs", static_cast<uint64_t>(Result.VmRuns))
       .add("interp_runs", static_cast<uint64_t>(Result.InterpRuns))
@@ -430,6 +478,7 @@ CampaignResult ipas::runCampaign(ProgramHarness &Harness,
   for (size_t O = 0; O != NumOutcomes; ++O)
     DoneAttrs.add(outcomeName(static_cast<Outcome>(O)),
                   static_cast<uint64_t>(Result.Counts[O]));
+  DoneAttrs.merge(Rows.Attrs);
   obs::TraceSink::event("campaign.done", DoneAttrs);
   Span.addAttr(DoneAttrs);
   return Result;

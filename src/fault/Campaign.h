@@ -19,9 +19,11 @@
 #include "fault/Outcome.h"
 #include "fault/ProgramHarness.h"
 #include "obs/Propagation.h"
+#include "obs/Trace.h"
 #include "support/Random.h"
 
 #include <array>
+#include <functional>
 #include <vector>
 
 namespace ipas {
@@ -80,13 +82,13 @@ struct CampaignConfig {
   /// (InstructionId, BitIndex, Result) record stream is untouched.
   size_t HeartbeatMs = 0;
   /// Propagation tracing: every PropSampleEvery-th run (run indices with
-  /// `Run % PropSampleEvery == 0`, skipping pruned runs) is re-executed
-  /// under full observation after the injection loop, yielding one
-  /// obs::PropRecord in CampaignResult::PropRecords. 0 disables tracing.
-  /// Sampling is a pure function of the run index — it draws nothing
-  /// from the campaign RNG and the traced runs are separate
-  /// re-executions — so the (InstructionId, BitIndex, Result) record
-  /// stream is bit-identical with tracing on or off and for any
+  /// `Run % PropSampleEvery == 0`, skipping pruned and reused runs) is
+  /// re-executed under full observation after the injection loop,
+  /// yielding one obs::PropRecord in CampaignResult::PropRecords. 0
+  /// disables tracing. Sampling is a pure function of the run index — it
+  /// draws nothing from the campaign RNG and the traced runs are
+  /// separate re-executions — so the (InstructionId, BitIndex, Result)
+  /// record stream is bit-identical with tracing on or off and for any
   /// NumThreads. Requires a harness whose supportsInstruments() is true;
   /// ignored otherwise.
   size_t PropSampleEvery = 0;
@@ -98,7 +100,8 @@ struct InjectionRecord {
   unsigned BitIndex = 0;      ///< Bit flipped (modulo the result width).
   uint64_t TargetValueStep = 0;
   Outcome Result = Outcome::Masked;
-  /// Wall time of this injected run in microseconds (0 for pruned runs).
+  /// Wall time of this injected run in microseconds (0 for pruned and
+  /// reused runs).
   /// Measured unconditionally — two clock reads per run — and persisted
   /// into the record store; not part of the deterministic record stream.
   uint32_t LatencyUs = 0;
@@ -124,10 +127,14 @@ struct CampaignResult {
   /// pruning, or an unobservable harness.
   size_t TracedRuns = 0;
   size_t SkippedTraceRuns = 0;
-  /// Executed (non-pruned) runs split by the engine that actually ran
-  /// them (ExecutionRecord::BackendUsed): VmRuns + InterpRuns + PrunedRuns
-  /// == NumRuns. A nonzero InterpRuns under Backend == Vm means fallbacks
-  /// — the per-reason totals live in the vm.fallback.* counters.
+  /// Rows whose outcome an incremental campaign copied from a prior
+  /// record store instead of executing them (always 0 for runCampaign).
+  size_t ReusedRuns = 0;
+  /// Executed runs split by the engine that actually ran them
+  /// (ExecutionRecord::BackendUsed): VmRuns + InterpRuns + PrunedRuns +
+  /// ReusedRuns == Records.size(). A nonzero InterpRuns under
+  /// Backend == Vm means fallbacks — the per-reason totals live in the
+  /// vm.fallback.* counters.
   size_t VmRuns = 0;
   size_t InterpRuns = 0;
   /// Heartbeat-derived throughput stats, archived by the session manifest
@@ -139,11 +146,13 @@ struct CampaignResult {
   size_t HeartbeatsEmitted = 0;
   double RunsPerSec = 0.0;
   /// Threads the injection loop actually ran on: NumThreads, capped by
-  /// the runs the loop handles (every sampled run for runCampaign,
-  /// pruned ones included; only the executed runs, neither reused nor
-  /// pruned, for an incremental campaign) and by threads the system
-  /// could start.
+  /// the rows the loop handles and by threads the system could start.
+  /// The loop handles every row, pruned and reused ones included, as do
+  /// the progress and heartbeat `done` counts and RunsPerSec.
   unsigned Threads = 1;
+
+  /// Runs that were actually executed (neither pruned nor reused).
+  size_t executedRuns() const { return VmRuns + InterpRuns; }
 
   size_t count(Outcome O) const {
     return Counts[static_cast<size_t>(O)];
@@ -168,11 +177,69 @@ struct CampaignResult {
 Outcome classifyOutcome(const ExecutionRecord &R);
 
 /// Runs a clean profiling run followed by \p Cfg.NumRuns injections.
-/// Aborts (assert) if the clean run itself fails verification — the
-/// program under test must be correct before injecting faults.
+/// If the clean run itself fails verification, logs the failure and
+/// calls std::abort: the program under test must be correct before
+/// injecting faults. A run that finishes without its fault ever firing
+/// throws std::logic_error (naming the label, the run index and the
+/// target value step) in every build: counting it as Masked would
+/// inflate masking.
 CampaignResult runCampaign(ProgramHarness &Harness,
                            const ModuleLayout &Layout,
                            const CampaignConfig &Cfg);
+
+/// How the campaign loop handles one row.
+enum class RowDisposition : uint8_t {
+  Execute, ///< Inject the row's plan and classify the run.
+  Pruned,  ///< Provably benign: classified Masked without running.
+  Reused,  ///< Outcome copied from a prior record store, not run.
+};
+
+/// A campaign's rows, planned once the clean run is known. The three
+/// vectors have one entry per row. The loop fills every record's
+/// BitIndex and TargetValueStep from its plan; the planner sets
+/// InstructionId and Result for the rows it does not execute, and an
+/// executed row takes both from its run.
+struct CampaignRows {
+  std::vector<FaultPlan> Plans;
+  std::vector<RowDisposition> Dispositions;
+  std::vector<InjectionRecord> Records;
+  /// Attributes the planner adds to `campaign.begin` and `campaign.done`.
+  obs::AttrSet Attrs;
+
+  explicit CampaignRows(size_t N = 0)
+      : Plans(N), Dispositions(N, RowDisposition::Execute), Records(N) {}
+};
+
+/// Plans a campaign's rows from its clean run.
+using RowPlanner = std::function<CampaignRows(const ExecutionRecord &Clean)>;
+
+/// runCampaign's planner: draws \p Cfg.NumRuns plans from the campaign
+/// seed and prunes the provably benign ones (CampaignConfig::
+/// ProvablyBenign).
+CampaignRows planSampledRows(ProgramHarness &Harness,
+                             const ModuleLayout &Layout,
+                             const CampaignConfig &Cfg,
+                             const ExecutionRecord &Clean);
+
+/// Marks every row whose target step \p Trace maps to a provably benign
+/// instruction Pruned (Masked, with that instruction's id), whatever its
+/// disposition was. \p Trace is the clean run's value-step trace.
+void pruneBenignRows(const std::vector<bool> &ProvablyBenign,
+                     const std::vector<unsigned> &Trace, CampaignRows &Rows);
+
+/// The campaign loop behind runCampaign and runIncrementalCampaign: the
+/// clean run and its refusal, the hang budget, the rows \p PlanRows
+/// plans on the worker pool (with the unfired-fault check), the
+/// telemetry (`campaign` span; `campaign.begin`, `.run`, `.progress`,
+/// `.heartbeat` and `.done` events), the propagation post-pass and the
+/// fault.* metrics. \p DefaultLabel names the campaign when Cfg.Label is
+/// empty. The planner decides the row count; the loop does not read
+/// Cfg.NumRuns.
+CampaignResult runPlannedCampaign(ProgramHarness &Harness,
+                                  const ModuleLayout &Layout,
+                                  const CampaignConfig &Cfg,
+                                  const char *DefaultLabel,
+                                  const RowPlanner &PlanRows);
 
 } // namespace ipas
 

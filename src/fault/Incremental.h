@@ -78,12 +78,12 @@ struct IncrementalConfig {
 };
 
 struct IncrementalResult {
+  /// The merged campaign; Campaign.ReusedRuns and
+  /// Campaign.executedRuns() give the reuse split.
   CampaignResult Campaign;
   /// One entry per module function, in module order (FunctionIndex is
   /// the module function index, matching RecordBuild's function table).
   std::vector<obs::FunctionMeta> FunctionMetas;
-  size_t ReusedRuns = 0;
-  size_t ExecutedRuns = 0;
 
   /// Per-function reuse decision, parallel to FunctionMetas.
   InvalidationReason reason(size_t I) const {
@@ -97,7 +97,9 @@ struct IncrementalResult {
 /// Fresh and the result carries no FunctionMetas. The record stream is
 /// deterministic for a fixed (module, seed, NumRuns) regardless of
 /// thread count or prior store — a reusable prior only swaps execution
-/// for lookup of identical rows.
+/// for lookup of identical rows. Only the row plan is specific to this
+/// driver: the rows run on runCampaign's loop (runPlannedCampaign), with
+/// the same checks, accounting and telemetry.
 IncrementalResult runIncrementalCampaign(ProgramHarness &Harness,
                                          const ModuleLayout &Layout,
                                          const Module &M,

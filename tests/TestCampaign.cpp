@@ -69,6 +69,16 @@ struct ThrowingHarness : ToyHarness {
   }
 };
 
+/// ToyHarness that answers every planned run with a clean run, as a
+/// harness that drops its fault plan would: the run finishes with its
+/// fault never fired.
+struct UnfiredHarness : ToyHarness {
+  ExecutionRecord run(const ModuleLayout &Layout, const FaultPlan *,
+                      uint64_t StepBudget, const Instruments &With) override {
+    return ToyHarness::run(Layout, nullptr, StepBudget, With);
+  }
+};
+
 } // namespace
 
 TEST(Campaign, ClassifyOutcomeMapping) {
@@ -273,4 +283,44 @@ TEST(Campaign, ThrowingRunPropagatesFromThreadedIncrementalCampaign) {
   Cfg.Base.NumThreads = 4;
   EXPECT_THROW(runIncrementalCampaign(H, Layout, *M, Cfg),
                std::runtime_error);
+}
+
+// A finished run whose fault never fired would be classified Masked and
+// inflate masking; the campaign loop refuses it in every build, including
+// NDEBUG ones, and names the campaign, the run and its target step.
+TEST(Campaign, UnfiredFaultIsAnError) {
+  auto M = compile(ToySrc);
+  ModuleLayout Layout(*M);
+  for (unsigned Threads : {1u, 4u}) {
+    UnfiredHarness H;
+    CampaignConfig CC;
+    CC.NumRuns = 40;
+    CC.NumThreads = Threads;
+    CC.Label = "unfired";
+    try {
+      runCampaign(H, Layout, CC);
+      ADD_FAILURE() << "no error at " << Threads << " threads";
+    } catch (const std::logic_error &E) {
+      EXPECT_NE(std::string(E.what()).find("unfired: run "),
+                std::string::npos)
+          << E.what();
+      EXPECT_NE(std::string(E.what()).find("target value step "),
+                std::string::npos)
+          << E.what();
+    }
+  }
+}
+
+TEST(Campaign, UnfiredFaultIsAnErrorIncremental) {
+  auto M = compile(ToySrc);
+  ModuleLayout Layout(*M);
+  for (unsigned Threads : {1u, 4u}) {
+    UnfiredHarness H;
+    IncrementalConfig Cfg;
+    Cfg.Base.NumRuns = 40;
+    Cfg.Base.NumThreads = Threads;
+    EXPECT_THROW(runIncrementalCampaign(H, Layout, *M, Cfg),
+                 std::logic_error)
+        << Threads << " threads";
+  }
 }

@@ -417,7 +417,8 @@ struct IncrementalRun {
 
 IncrementalRun runIncremental(const std::string &Source, size_t NumRuns,
                               uint64_t Seed, const obs::RecordStore *Prior,
-                              unsigned Threads = 1) {
+                              unsigned Threads = 1,
+                              ExecBackend Backend = ExecBackend::Interp) {
   IncrementalRun Out;
   Out.M = compile(Source);
   EXPECT_NE(Out.M, nullptr);
@@ -427,6 +428,7 @@ IncrementalRun runIncremental(const std::string &Source, size_t NumRuns,
   Cfg.Base.NumRuns = NumRuns;
   Cfg.Base.Seed = Seed;
   Cfg.Base.NumThreads = Threads;
+  Cfg.Base.Backend = Backend;
   Cfg.Prior = Prior;
   Out.R = runIncrementalCampaign(Harness, *Out.Layout, *Out.M, Cfg);
   return Out;
@@ -459,14 +461,14 @@ TEST(Incremental, SecondRunReusesEverything) {
   IPAS_SEED_TRACE(testSeed());
   std::string Src = readTestdata("residual.mc");
   IncrementalRun First = runIncremental(Src, 90, testSeed(), nullptr);
-  EXPECT_EQ(First.R.ReusedRuns, 0u);
-  EXPECT_EQ(First.R.ExecutedRuns, 90u);
+  EXPECT_EQ(First.R.Campaign.ReusedRuns, 0u);
+  EXPECT_EQ(First.R.Campaign.executedRuns(), 90u);
   ASSERT_EQ(First.R.FunctionMetas.size(), First.M->numFunctions());
 
   obs::RecordStore Prior = toStore(First, testSeed());
   IncrementalRun Second = runIncremental(Src, 90, testSeed(), &Prior);
-  EXPECT_EQ(Second.R.ExecutedRuns, 0u);
-  EXPECT_EQ(Second.R.ReusedRuns, 90u);
+  EXPECT_EQ(Second.R.Campaign.executedRuns(), 0u);
+  EXPECT_EQ(Second.R.Campaign.ReusedRuns, 90u);
   for (size_t I = 0; I != Second.R.FunctionMetas.size(); ++I)
     EXPECT_EQ(Second.R.reason(I), InvalidationReason::Reused);
   expectSameRecords(First.R.Campaign, Second.R.Campaign);
@@ -480,8 +482,11 @@ TEST(Incremental, EditReexecutesOnlyTheEditedFunction) {
 
   // residual_edit.mc changes only f (value-preservingly), so smooth's
   // rows carry over and strictly less than half of the campaign re-runs.
+  // The edited campaign runs on the VM, so its executed runs are counted
+  // in the per-backend split.
   std::string Edited = readTestdata("residual_edit.mc");
-  IncrementalRun Inc = runIncremental(Edited, 90, testSeed(), &Prior);
+  IncrementalRun Inc = runIncremental(Edited, 90, testSeed(), &Prior, 1,
+                                      ExecBackend::Vm);
   ASSERT_EQ(Inc.R.FunctionMetas.size(), 2u);
   const Function *Smooth = Inc.M->getFunction("smooth");
   const Function *F = Inc.M->getFunction("f");
@@ -495,8 +500,20 @@ TEST(Incremental, EditReexecutesOnlyTheEditedFunction) {
     else
       EXPECT_EQ(Inc.R.reason(I), InvalidationReason::ContentChanged);
   }
-  EXPECT_GT(Inc.R.ReusedRuns, 0u);
-  EXPECT_LT(Inc.R.ExecutedRuns, 45u) << "edit re-ran half the campaign";
+  EXPECT_GT(Inc.R.Campaign.ReusedRuns, 0u);
+  EXPECT_LT(Inc.R.Campaign.executedRuns(), 45u)
+      << "edit re-ran half the campaign";
+
+  // Every row is accounted for exactly once, and the executed rows are
+  // the planned rows the reuse decision did not carry over.
+  const CampaignResult &C = Inc.R.Campaign;
+  EXPECT_EQ(C.VmRuns + C.InterpRuns + C.PrunedRuns + C.ReusedRuns,
+            C.Records.size());
+  uint64_t NotCarried = 0;
+  for (const obs::FunctionMeta &FM : Inc.R.FunctionMetas)
+    NotCarried += FM.PlannedRuns - FM.ReusedRuns;
+  EXPECT_EQ(C.VmRuns + C.InterpRuns, NotCarried);
+  EXPECT_GT(C.VmRuns, 0u);
 
   // Merged outcomes must be indistinguishable from a from-scratch
   // incremental campaign on the edited module.
@@ -529,8 +546,8 @@ TEST(Incremental, PriorWithDifferentSeedIsIgnored) {
   obs::RecordStore Prior = toStore(First, testSeed());
   Prior.Seed ^= 1; // a campaign from some other seed
   IncrementalRun Second = runIncremental(Src, 60, testSeed(), &Prior);
-  EXPECT_EQ(Second.R.ReusedRuns, 0u);
-  EXPECT_EQ(Second.R.ExecutedRuns, 60u);
+  EXPECT_EQ(Second.R.Campaign.ReusedRuns, 0u);
+  EXPECT_EQ(Second.R.Campaign.executedRuns(), 60u);
   for (size_t I = 0; I != Second.R.FunctionMetas.size(); ++I)
     EXPECT_EQ(Second.R.reason(I), InvalidationReason::Fresh);
 }

@@ -490,7 +490,7 @@ int main(int Argc, char **Argv) {
       FnMetas = std::move(IR.FunctionMetas);
       std::printf("incremental: %zu reused, %zu executed, %zu pruned of "
                   "%zu runs\n",
-                  IR.ReusedRuns, IR.ExecutedRuns, R.PrunedRuns,
+                  R.ReusedRuns, R.executedRuns(), R.PrunedRuns,
                   R.Records.size());
       for (const obs::FunctionMeta &FM : FnMetas)
         std::printf("  @%s: %s (%llu reused of %llu planned)\n",

@@ -224,13 +224,7 @@ bool loadTrace(const std::string &Path, TraceData &T, Checker &C) {
       } else {
         ++T.EventCounts[Name->asString()];
         const std::string &EventName = Name->asString();
-        // campaign.incremental.done is the incremental driver's
-        // terminal event; it carries the same label and merged outcome
-        // totals, so it anchors the record/session cross-checks the
-        // same way campaign.done does.
-        if (EventName == "campaign.done" ||
-            EventName == "campaign.incremental.done" ||
-            EventName == "campaign.record") {
+        if (EventName == "campaign.done" || EventName == "campaign.record") {
           CampaignTotals CT;
           if (const JsonValue *Attrs = Parsed->get("attrs")) {
             if (const JsonValue *V = Attrs->get("label"))
