@@ -15,6 +15,7 @@
 #include "core/Pipeline.h"
 #include "mpi/SimMpi.h"
 #include "obs/Json.h"
+#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "transform/Duplication.h"
 #include "transform/Mem2Reg.h"
@@ -149,6 +150,34 @@ static void BM_SvmTrain(benchmark::State &State) {
     benchmark::DoNotOptimize(trainCSvc(D, P));
 }
 BENCHMARK(BM_SvmTrain)->Arg(200)->Arg(500)->Arg(1000);
+
+/// The pipeline's model selection at perfbench `training` scale: 200 rows
+/// of 31 features, 6% positives, a 6 x 6 (C, gamma) grid over 5 folds,
+/// MaxIterations 20000. Reports SVM fits per second.
+static void BM_GridSearch(benchmark::State &State) {
+  Rng R(7);
+  Dataset D;
+  for (int I = 0; I != 200; ++I) {
+    bool Pos = I % 50 < 3; // 12 of 200
+    std::vector<double> X;
+    for (int F = 0; F != 31; ++F)
+      X.push_back((Pos ? 0.6 : 0.0) + R.nextDoubleIn(0.0, 1.0));
+    D.add(std::move(X), Pos ? 1 : -1);
+  }
+  GridSearchConfig GC;
+  GC.CSteps = 6;
+  GC.GammaSteps = 6;
+  GC.Folds = 5;
+  GC.MaxIterations = 20000;
+  obs::Counter &Fits =
+      obs::MetricsRegistry::global().counter("ml.svm.trainings");
+  uint64_t Before = Fits.value();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(gridSearch(D, GC));
+  State.counters["fits_per_s"] = benchmark::Counter(
+      static_cast<double>(Fits.value() - Before), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GridSearch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 static void BM_SvmPredictModule(benchmark::State &State) {
   Rng R(6);

@@ -22,7 +22,8 @@ using namespace ipas;
 /// search), or cached entries from the older code would be served.
 /// 2: parallel grid search (same results, new TrainSeconds).
 /// 3: threaded pipeline campaigns (same results, new TrainSeconds).
-static constexpr uint64_t CodeVersion = 3;
+/// 4: regularization-path grid search (same results, new TrainSeconds).
+static constexpr uint64_t CodeVersion = 4;
 
 uint64_t ipas::pipelineConfigHash(const PipelineConfig &Cfg) {
   // FNV-1a over the code version and the fields that change evaluation

@@ -229,7 +229,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
   // split). Relaxed atomics: heartbeats are a sampled view, the exact
   // counts are re-derived from Records after the join.
   std::array<std::atomic<size_t>, NumOutcomes> LiveOutcomes{};
-  std::atomic<size_t> LivePruned{0}, LiveVm{0}, LiveInterp{0};
+  std::atomic<size_t> LivePruned{0}, LiveReused{0}, LiveVm{0},
+      LiveInterp{0};
 
   // Heartbeat emission is shared between the timed monitor thread and
   // the final (post-join) beat; Seq orders them for consumers.
@@ -257,6 +258,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
                 LiveOutcomes[O].load(std::memory_order_relaxed)));
     A.add("pruned",
           static_cast<uint64_t>(LivePruned.load(std::memory_order_relaxed)))
+        .add("reused", static_cast<uint64_t>(
+                           LiveReused.load(std::memory_order_relaxed)))
         .add("vm_runs",
              static_cast<uint64_t>(LiveVm.load(std::memory_order_relaxed)))
         .add("interp_runs", static_cast<uint64_t>(
@@ -275,6 +278,7 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
       LivePruned.fetch_add(1, std::memory_order_relaxed);
       break;
     case RowDisposition::Reused:
+      LiveReused.fetch_add(1, std::memory_order_relaxed);
       break;
     case RowDisposition::Execute: {
       uint64_t T0 = obs::monotonicMicros();

@@ -53,10 +53,8 @@ struct ClassTally {
   }
 };
 
-/// One cross-validation fold. Train keeps the dataset's row order, and
-/// TrainIdx holds those rows' indices into the full dataset.
+/// One cross-validation fold. Train keeps the dataset's row order.
 struct Fold {
-  std::vector<size_t> TrainIdx;
   Dataset Train, Test;
 };
 
@@ -97,7 +95,6 @@ static std::vector<Fold> stratifiedFolds(const Dataset &D, unsigned Folds,
         Out[F].Test.add(D.X[I], D.Y[I]);
         continue;
       }
-      Out[F].TrainIdx.push_back(I);
       Out[F].Train.add(D.X[I], D.Y[I]);
     }
   std::erase_if(Out, [](const Fold &F) {
@@ -115,17 +112,6 @@ ClassAccuracies ipas::crossValidate(const Dataset &D, const SvmParams &P,
   for (const Fold &F : stratifiedFolds(D, Folds, R))
     T.add(trainCSvc(F.Train, P), F.Test);
   return T.accuracies();
-}
-
-/// The rows and columns \p Idx (ascending) of the N x N matrix \p K.
-static std::vector<float> gatherKernel(const std::vector<float> &K, size_t N,
-                                       const std::vector<size_t> &Idx) {
-  std::vector<float> Sub;
-  Sub.reserve(Idx.size() * Idx.size());
-  for (size_t Row : Idx)
-    for (size_t Col : Idx)
-      Sub.push_back(K[Row * N + Col]);
-  return Sub;
 }
 
 /// Log-spaced values from Lo to Hi inclusive.
@@ -168,44 +154,52 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
   Rng FoldRng(Cfg.Seed ^ 0x9e37);
   std::vector<Fold> Split = stratifiedFolds(D, Cfg.Folds, FoldRng);
 
-  // Per gamma: one kernel matrix, sliced per fold, then one unit per
-  // (C, fold) on the worker pool, largest C (the longest fits) claimed
-  // first. A unit writes only its own slot, and a configuration sums its
-  // slots in fold order, so the ranking is the serial one whatever the
-  // thread count or schedule.
+  // One unit per (gamma, fold) on the worker pool: the fold's kernel and
+  // one regularization path over every C (solveCSvcPath, exact per C).
+  // A unit writes only its own slots, and a configuration sums its slots
+  // in fold order, so the ranking is the serial one whatever the thread
+  // count or schedule. The path needs ascending Cs; Order maps them back.
+  std::vector<size_t> Order(Cs.size());
+  for (size_t CI = 0; CI != Cs.size(); ++CI)
+    Order[CI] = CI;
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](size_t A, size_t B) { return Cs[A] < Cs[B]; });
+  std::vector<double> PathCs;
+  for (size_t CI : Order)
+    PathCs.push_back(Cs[CI]);
+  auto Params = [&](size_t GI, size_t CI) {
+    SvmParams P;
+    P.C = Cs[CI];
+    P.Gamma = Gammas[GI];
+    P.MaxIterations = Cfg.MaxIterations;
+    return P;
+  };
+  const size_t NumFolds = Split.size();
+  std::vector<ClassTally> Slots(Gammas.size() * Cs.size() * NumFolds);
+  const size_t NumUnits = Cs.empty() ? 0 : Gammas.size() * NumFolds;
+  parallelFor(NumUnits, hardwareWorkers(), [&](size_t U) {
+    const size_t GI = U / NumFolds, F = U % NumFolds;
+    const Fold &Fo = Split[F];
+    std::vector<SvmModel> Path =
+        solveCSvcPath(Fo.Train, rbfKernelMatrix(Fo.Train.X, Gammas[GI]),
+                      Params(GI, 0), PathCs);
+    for (size_t K = 0; K != Order.size(); ++K)
+      Slots[(GI * Cs.size() + Order[K]) * NumFolds + F].add(Path[K],
+                                                            Fo.Test);
+  });
+
   Results.reserve(Cs.size() * Gammas.size());
-  std::vector<std::vector<float>> FoldK(Split.size());
-  for (double Gamma : Gammas) {
-    {
-      std::vector<float> K = rbfKernelMatrix(D.X, Gamma);
-      for (size_t F = 0; F != Split.size(); ++F)
-        FoldK[F] = gatherKernel(K, D.size(), Split[F].TrainIdx);
-    }
-    auto Params = [&](size_t CI) {
-      SvmParams P;
-      P.C = Cs[CI];
-      P.Gamma = Gamma;
-      P.MaxIterations = Cfg.MaxIterations;
-      return P;
-    };
-    std::vector<ClassTally> Slots(Cs.size() * Split.size());
-    parallelFor(Slots.size(), hardwareWorkers(), [&](size_t K) {
-      size_t U = Slots.size() - 1 - K;
-      size_t CI = U / Split.size(), F = U % Split.size();
-      Slots[U].add(solveCSvc(Split[F].Train, FoldK[F], Params(CI)),
-                   Split[F].Test);
-    });
+  for (size_t GI = 0; GI != Gammas.size(); ++GI)
     for (size_t CI = 0; CI != Cs.size(); ++CI) {
       ClassTally T;
-      for (size_t F = 0; F != Split.size(); ++F)
-        T.add(Slots[CI * Split.size() + F]);
+      for (size_t F = 0; F != NumFolds; ++F)
+        T.add(Slots[(GI * Cs.size() + CI) * NumFolds + F]);
       RankedConfig RC;
-      RC.Params = Params(CI);
+      RC.Params = Params(GI, CI);
       RC.Accuracies = T.accuracies();
       RC.FScore = fScore(RC.Accuracies);
       Results.push_back(RC);
     }
-  }
   std::stable_sort(Results.begin(), Results.end(),
                    [](const RankedConfig &A, const RankedConfig &B) {
                      return A.FScore > B.FScore;

@@ -32,6 +32,8 @@ struct SvmParams {
   size_t MaxIterations = 200000;
 };
 
+class SmoSolver;
+
 /// A trained classifier: support vectors with coefficients and a bias.
 class SvmModel {
 public:
@@ -52,8 +54,7 @@ public:
   double objective() const { return FinalObjective; }
 
 private:
-  friend SvmModel solveCSvc(const Dataset &D, const std::vector<float> &K,
-                            const SvmParams &P);
+  friend class SmoSolver;
 
   std::vector<std::vector<double>> SupportVectors;
   std::vector<double> Coefficients; ///< alpha_i * y_i per support vector.
@@ -63,8 +64,7 @@ private:
   double FinalObjective = 0.0;
 };
 
-/// Trains on \p D (features should be pre-scaled). Requires at least one
-/// sample of each class. Equivalent to
+/// Trains on \p D (features should be pre-scaled). Equivalent to
 /// solveCSvc(D, rbfKernelMatrix(D.X, P.Gamma), P).
 SvmModel trainCSvc(const Dataset &D, const SvmParams &P);
 
@@ -77,9 +77,33 @@ std::vector<float> rbfKernelMatrix(const std::vector<std::vector<double>> &X,
 /// \p K, rbfKernelMatrix(D.X, P.Gamma). If D's rows are a subset of a
 /// larger dataset's, kept in order, the matching rows and columns of that
 /// dataset's matrix are the same bits. Counts every fit under `ml.svm.*`
-/// and may run on any thread.
+/// and may run on any thread. The same as solveCSvcPath(D, K, P, {P.C}).
+///
+/// Checked in every build: an empty \p D, a \p K that is not
+/// D.size() x D.size(), or a C that is not positive throws
+/// std::invalid_argument. A \p D with one class only has nothing to
+/// separate and gives the constant classifier: no support vectors, 0
+/// iterations, objective 0, and bias -inf if every label is -1, +inf if
+/// every label is +1, so it predicts that label everywhere.
 SvmModel solveCSvc(const Dataset &D, const std::vector<float> &K,
                    const SvmParams &P);
+
+/// solveCSvc at each C in \p Cs (ascending; P.C is ignored): returns one
+/// model per entry, each bit-identical to solveCSvc with that C, its
+/// iterations, objective, bias and support vectors included. C enters SMO
+/// only through the box 0 <= alpha_i <= C (C * w+ for positives), so one
+/// run at the largest C is also every smaller C's run up to the first
+/// iteration where a value it clamps reaches the smaller box; each smaller
+/// C resumes from there, and one that never gets there is the largest C's
+/// fit. Counts each model under `ml.svm.trainings`/`ml.svm.iterations` as
+/// solveCSvc would, and the iterations it took over from the path instead
+/// of running under `ml.svm.shared_iterations`. Throws
+/// std::invalid_argument as solveCSvc does, and if \p Cs is empty or not
+/// ascending.
+std::vector<SvmModel> solveCSvcPath(const Dataset &D,
+                                    const std::vector<float> &K,
+                                    const SvmParams &P,
+                                    const std::vector<double> &Cs);
 
 /// RBF kernel exp(-gamma * ||A - B||^2).
 double rbfKernel(const std::vector<double> &A, const std::vector<double> &B,

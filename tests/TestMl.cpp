@@ -5,11 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "ml/ModelSelection.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 
 using namespace ipas;
@@ -202,6 +205,160 @@ TEST(Svm, PinnedSolutions) {
     EXPECT_EQ(M.bias(), C.Bias);
     EXPECT_EQ(M.numSupportVectors(), C.SupportVectors);
   }
+}
+
+TEST(Svm, PathMatchesIndependentFits) {
+  // Every model of a regularization path must be the one solveCSvc fits
+  // at its C, bit for bit. The ladders cover the three ways a smaller C
+  // relates to the largest C's run: it leaves at once (its box binds on
+  // the first step), it resumes part way, or it never leaves (no alpha
+  // reaches its box, so it is the largest C's fit).
+  struct Case {
+    const char *Name;
+    Dataset D;
+    double Gamma;
+    std::vector<double> Cs;
+    size_t MaxIterations;
+    size_t NeverLeave; ///< Cs below the largest that share its whole run.
+    bool ResumesPartWay;
+  };
+  Rng R1(1), R2(2), R6(6), R11(11), R11Single(11), R4(4);
+  Dataset Imbalanced; // 6% positives, so C * w+ is 15.7 C.
+  for (int I = 0; I != 470; ++I)
+    Imbalanced.add({R4.nextDoubleIn(-1.5, 1.5), R4.nextDoubleIn(-1.5, 1.5)},
+                   -1);
+  for (int I = 0; I != 30; ++I)
+    Imbalanced.add(
+        {1.2 + R4.nextDoubleIn(-1.0, 1.0), 1.2 + R4.nextDoubleIn(-1.0, 1.0)},
+        1);
+  std::vector<Case> Cases = {
+      // The first step takes alpha to about 1: smaller Cs leave at once.
+      {"blobs", makeBlobs(40, R1), 0.5, {0.01, 0.5, 10.0, 100.0}, 200000, 1,
+       false},
+      {"xor", makeXor(30, R2), 2.0, {0.3, 1.5, 2.5, 50.0, 5000.0}, 200000, 1,
+       true},
+      {"lattice", makeLattice(60, 12, R11), 1.0, {1.0, 10.0, 100.0, 1000.0},
+       200000, 0, true},
+      // One positive (w+ = 30): at C = 1 a value an update clamps lands
+      // exactly on the box, so C = 1 must leave the path there (>=, not >).
+      {"single-positive", makeLattice(31, 1, R11Single), 1.0,
+       {1.0, 50.0, 1e5}, 200000, 0, true},
+      {"imbalanced", std::move(Imbalanced), 0.5, {0.1, 1.0, 10.0, 100.0},
+       200000, 0, true},
+      // Every fit stops at MaxIterations.
+      {"xor-capped", makeXor(50, R6), 5.0, {0.5, 1.1, 2.0, 100.0, 1e4}, 40,
+       2, true},
+  };
+  obs::Counter &Shared =
+      obs::MetricsRegistry::global().counter("ml.svm.shared_iterations");
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    SvmParams P;
+    P.Gamma = C.Gamma;
+    P.MaxIterations = C.MaxIterations;
+    std::vector<float> K = rbfKernelMatrix(C.D.X, C.Gamma);
+    uint64_t SharedBefore = Shared.value();
+    std::vector<SvmModel> Path = solveCSvcPath(C.D, K, P, C.Cs);
+    uint64_t SharedGrew = Shared.value() - SharedBefore;
+    ASSERT_EQ(Path.size(), C.Cs.size());
+
+    size_t Never = 0, SharedByNever = 0;
+    const SvmModel &Last = Path.back();
+    for (size_t CI = 0; CI != C.Cs.size(); ++CI) {
+      SCOPED_TRACE(C.Cs[CI]);
+      P.C = C.Cs[CI];
+      SvmModel Solo = solveCSvc(C.D, K, P);
+      const SvmModel &M = Path[CI];
+      EXPECT_EQ(M.iterationsUsed(), Solo.iterationsUsed());
+      EXPECT_EQ(M.objective(), Solo.objective());
+      EXPECT_EQ(M.bias(), Solo.bias());
+      EXPECT_EQ(M.numSupportVectors(), Solo.numSupportVectors());
+      Rng Probe(7);
+      for (int I = 0; I != 8; ++I) {
+        std::vector<double> X(C.D.dim());
+        for (double &V : X)
+          V = Probe.nextDoubleIn(-2.0, 4.0);
+        EXPECT_EQ(M.decision(X), Solo.decision(X));
+      }
+      if (CI + 1 != C.Cs.size() &&
+          M.iterationsUsed() == Last.iterationsUsed() &&
+          M.objective() == Last.objective() && M.bias() == Last.bias()) {
+        ++Never;
+        SharedByNever += Last.iterationsUsed();
+      }
+    }
+    EXPECT_EQ(Never, C.NeverLeave);
+    // Beyond the Cs that never leave, only those resumed part way share.
+    if (C.ResumesPartWay)
+      EXPECT_GT(SharedGrew, SharedByNever);
+    else
+      EXPECT_EQ(SharedGrew, SharedByNever);
+    EXPECT_GT(SharedGrew, 0u);
+  }
+}
+
+TEST(Svm, SingleClassGivesConstantClassifier) {
+  // One class only: nothing to separate, so the classifier is that class
+  // everywhere. All +1 used to give a NaN bias, which predicts -1.
+  Rng R(13);
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (int Label : {-1, 1})
+    for (bool Auto : {true, false}) {
+      SCOPED_TRACE(Label);
+      SCOPED_TRACE(Auto);
+      Dataset D;
+      for (int I = 0; I != 12; ++I)
+        D.add({R.nextDoubleIn(-1.0, 1.0), R.nextDoubleIn(-1.0, 1.0)}, Label);
+      SvmParams P;
+      P.AutoClassWeight = Auto;
+      SvmModel M = trainCSvc(D, P);
+      EXPECT_EQ(M.numSupportVectors(), 0u);
+      EXPECT_EQ(M.iterationsUsed(), 0u);
+      EXPECT_EQ(M.objective(), 0.0);
+      EXPECT_EQ(M.bias(), Label > 0 ? Inf : -Inf);
+      for (int I = 0; I != 5; ++I)
+        EXPECT_EQ(M.predict({R.nextDoubleIn(-3.0, 3.0),
+                             R.nextDoubleIn(-3.0, 3.0)}),
+                  Label);
+      std::vector<SvmModel> Path =
+          solveCSvcPath(D, rbfKernelMatrix(D.X, P.Gamma), P, {1.0, 10.0});
+      ASSERT_EQ(Path.size(), 2u);
+      for (const SvmModel &PM : Path) {
+        EXPECT_EQ(PM.numSupportVectors(), 0u);
+        EXPECT_EQ(PM.bias(), M.bias());
+      }
+    }
+}
+
+TEST(Svm, RejectsMalformedInputs) {
+  // Checked in every build, not by assert.
+  Rng R(14);
+  Dataset D = makeBlobs(5, R);
+  std::vector<float> K = rbfKernelMatrix(D.X, 0.5);
+  SvmParams P;
+  P.Gamma = 0.5;
+  EXPECT_THROW(trainCSvc(Dataset(), P), std::invalid_argument);
+  EXPECT_THROW(solveCSvc(Dataset(), {}, P), std::invalid_argument);
+  EXPECT_THROW(solveCSvc(D, std::vector<float>(K.begin(), K.end() - 1), P),
+               std::invalid_argument);
+  EXPECT_THROW(solveCSvc(D, rbfKernelMatrix(makeBlobs(6, R).X, 0.5), P),
+               std::invalid_argument);
+  for (double C : {0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE(C);
+    P.C = C;
+    EXPECT_THROW(solveCSvc(D, K, P), std::invalid_argument);
+  }
+  P.C = 1.0;
+  using Ladder = std::vector<double>;
+  for (const Ladder &Cs : {Ladder{}, Ladder{10.0, 1.0}, Ladder{0.0, 1.0},
+                           Ladder{-1.0}, Ladder{1.0, std::nan("")}}) {
+    SCOPED_TRACE(Cs.size());
+    EXPECT_THROW(solveCSvcPath(D, K, P, Cs), std::invalid_argument);
+  }
+  // Equal Cs are ascending.
+  std::vector<SvmModel> Same = solveCSvcPath(D, K, P, {1.0, 1.0});
+  ASSERT_EQ(Same.size(), 2u);
+  EXPECT_EQ(Same[0].objective(), Same[1].objective());
 }
 
 TEST(FScore, MatchesPaperFormula) {

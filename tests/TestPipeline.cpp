@@ -283,8 +283,10 @@ TEST(ResultsCache, ConfigHashDistinguishesConfigs) {
   B.Grid.GammaSteps += 1;
   EXPECT_NE(pipelineConfigHash(A), pipelineConfigHash(B));
   // The code version is part of the key: the default config's hashes
-  // before the threaded grid search and before the threaded pipeline
-  // campaigns (each changed TrainSeconds) must not match.
+  // before the threaded grid search, before the threaded pipeline
+  // campaigns and before the regularization-path grid search (each
+  // changed TrainSeconds) must not match.
   EXPECT_NE(pipelineConfigHash(A), 0x5dd622d41cfa0421ull);
   EXPECT_NE(pipelineConfigHash(A), 0x9bd46ea808509593ull);
+  EXPECT_NE(pipelineConfigHash(A), 0xd4a43e3e65d02dfaull);
 }

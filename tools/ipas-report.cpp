@@ -80,6 +80,10 @@ struct HeartbeatEv {
   uint64_t Runs = 0;
   uint64_t TsUs = 0;
   bool Final = false;
+  /// pruned + vm_runs + interp_runs, and reused when the heartbeat
+  /// carries it (older traces do not).
+  uint64_t Accounted = 0;
+  bool HasReused = false;
 };
 
 /// One .ipses session manifest announced by a campaign.session event.
@@ -287,6 +291,13 @@ bool loadTrace(const std::string &Path, TraceData &T, Checker &C) {
               HB.Runs = V->asU64();
             if (const JsonValue *V = Attrs->get("final"))
               HB.Final = V->K == JsonValue::Kind::Bool && V->B;
+            for (const char *Key : {"pruned", "vm_runs", "interp_runs"})
+              if (const JsonValue *V = Attrs->get(Key))
+                HB.Accounted += V->asU64();
+            if (const JsonValue *V = Attrs->get("reused")) {
+              HB.Accounted += V->asU64();
+              HB.HasReused = true;
+            }
           }
           T.Heartbeats.push_back(std::move(HB));
         }
@@ -480,7 +491,9 @@ void checkSessions(const TraceData &T, Checker &C) {
 /// without the record stream. Per label, the stream must be strictly
 /// increasing in seq (no drops or reorders survive a file tail),
 /// monotonic in done with done <= runs (progress never runs backwards),
-/// and only the last heartbeat may be final (with done == runs). Every
+/// and only the last heartbeat may be final (with done == runs, and,
+/// when it carries `reused`, pruned + reused + vm_runs + interp_runs ==
+/// done: every row is accounted for exactly once). Every
 /// heartbeat must also be timestamped inside a campaign span — the
 /// monitor thread starts after the span opens and its final beat is
 /// emitted before the span closes, so an escaping heartbeat means the
@@ -514,6 +527,11 @@ void checkHeartbeats(const TraceData &T, Checker &C) {
              "final heartbeat (label '%s') done %" PRIu64
              " != runs %" PRIu64,
              HB.Label.c_str(), HB.Done, HB.Runs);
+    if (HB.Final && HB.HasReused && HB.Accounted != HB.Done)
+      C.fail(0,
+             "final heartbeat (label '%s') pruned + reused + vm_runs + "
+             "interp_runs = %" PRIu64 " != done %" PRIu64,
+             HB.Label.c_str(), HB.Accounted, HB.Done);
     bool Contained = false;
     for (const SpanRec &S : T.Spans)
       if (S.Name == "campaign" && S.StartUs <= HB.TsUs &&
