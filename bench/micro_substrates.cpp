@@ -20,12 +20,14 @@
 #include "transform/Duplication.h"
 #include "transform/Mem2Reg.h"
 #include "transform/SimplifyCFG.h"
+#include "vm/Bytecode.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 
 using namespace ipas;
@@ -208,24 +210,34 @@ static void BM_WorkloadCleanRun(benchmark::State &State) {
 }
 BENCHMARK(BM_WorkloadCleanRun);
 
+/// One job of 100 allreduce rounds per iteration; range(0) is the
+/// per-rank engine (0 = interpreter, 1 = VM), range(1) the rank count.
 static void BM_MpiAllreduceRound(benchmark::State &State) {
   auto M = compileSnippet("int f(int n) { double s = 0.0;\n"
                           "  for (int i = 0; i < n; i = i + 1)\n"
                           "    s = s + mpi_allreduce_sum_d(1.0);\n"
                           "  return (int)s; }");
   ModuleLayout Layout(*M);
-  int Ranks = static_cast<int>(State.range(0));
+  std::unique_ptr<vm::VmProgram> Prog = vm::compile(Layout);
+  bool OnVm = State.range(0) != 0;
+  int Ranks = static_cast<int>(State.range(1));
   for (auto _ : State) {
     MpiJob::Config Cfg;
     Cfg.NumRanks = Ranks;
-    MpiJob Job(Layout, Cfg);
-    Job.start(M->getFunction("f"), [](ExecutionContext &, int) {
+    std::optional<MpiJob> Job;
+    if (OnVm)
+      Job.emplace(*Prog, Cfg);
+    else
+      Job.emplace(Layout, Cfg);
+    Job->start(M->getFunction("f"), [](int) {
       return std::vector<RtValue>{RtValue::fromI64(100)};
     });
-    benchmark::DoNotOptimize(Job.run());
+    benchmark::DoNotOptimize(Job->run());
   }
 }
-BENCHMARK(BM_MpiAllreduceRound)->Arg(2)->Arg(8);
+BENCHMARK(BM_MpiAllreduceRound)
+    ->ArgNames({"vm", "ranks"})
+    ->ArgsProduct({{0, 1}, {2, 8}});
 
 static void BM_FaultInjectedRun(benchmark::State &State) {
   auto W = makeWorkload("IS");

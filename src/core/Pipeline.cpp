@@ -15,6 +15,8 @@
 #include "support/ParallelFor.h"
 #include "support/Statistics.h"
 
+#include <stdexcept>
+
 using namespace ipas;
 
 namespace {
@@ -62,6 +64,7 @@ void writeVariantRecord(const Workload &W, const PipelineConfig &Cfg,
   }
 
   WorkloadHarness Harness(W, Cfg.InputLevel);
+  Harness.setPreferredBackend(Cfg.Backend);
   std::vector<unsigned> StepTrace = Harness.traceValueSteps(*PM.Layout);
 
   FeatureExtractor Extractor;
@@ -512,9 +515,18 @@ double IpasPipeline::scalabilitySlowdown(const ProtectedModule &PM,
   int Level = InputLevel ? InputLevel : Cfg.InputLevel;
   auto CleanCycles = [&](const ProtectedModule &Mod) {
     WorkloadHarness Harness(W, Level, NumRanks);
+    Harness.setPreferredBackend(Cfg.Backend);
     ExecutionRecord R = Harness.execute(*Mod.Layout, nullptr, UINT64_MAX);
-    assert(R.Status == RunStatus::Finished && R.OutputValid &&
-           "clean parallel run failed");
+    if (R.Status != RunStatus::Finished || !R.OutputValid) {
+      std::string What = R.Status == RunStatus::Finished
+                             ? "failed verification"
+                             : runStatusName(R.Status);
+      if (R.Trap != TrapKind::None)
+        What += std::string(" (") + trapKindName(R.Trap) + ")";
+      throw std::runtime_error("scalabilitySlowdown: clean " +
+                               std::to_string(NumRanks) + "-rank run of " +
+                               W.name() + " " + What);
+    }
     return static_cast<double>(R.CriticalPathCycles);
   };
   ProtectedModule Unprot = protectNone();

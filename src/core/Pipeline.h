@@ -69,12 +69,14 @@ struct PipelineConfig {
   /// ipas-db ingests into a cross-run history. The directory must
   /// already exist. See docs/OBSERVABILITY.md.
   std::string SessionDir;
-  /// Execution engine for the training and evaluation campaigns and the
-  /// counting-mode variant profiles (CampaignConfig::Backend). The VM is
-  /// observably equivalent — identical record streams, goldens and
-  /// profiles — and several times faster on the workloads, so it is the
-  /// default; runs it cannot take (value-step traces, propagation
-  /// re-execution) fall back to the interpreter per run.
+  /// Execution engine for the training and evaluation campaigns, the
+  /// counting-mode variant profiles, the record stores' value-step
+  /// traces and the scalabilitySlowdown() rank sweep
+  /// (CampaignConfig::Backend). The VM is observably equivalent —
+  /// identical record streams, goldens, profiles and critical paths —
+  /// and several times faster on the workloads, so it is the default;
+  /// runs it cannot take (propagation re-execution) fall back to the
+  /// interpreter per run.
   ExecBackend Backend = ExecBackend::Vm;
   /// When nonzero, every evaluation campaign also traces fault
   /// propagation for 1-in-N injections (CampaignConfig::PropSampleEvery).
@@ -173,7 +175,10 @@ public:
                           const std::string &Label = std::string()) const;
 
   /// Clean-run slowdown of \p PM versus the unprotected module with
-  /// \p NumRanks MPI ranks (critical-path cycle ratio). Figure 8.
+  /// \p NumRanks MPI ranks (critical-path cycle ratio). Figure 8. Runs on
+  /// the configured Backend; throws std::runtime_error naming the
+  /// workload, rank count and status when either clean run does not
+  /// finish with a valid output.
   double scalabilitySlowdown(const ProtectedModule &PM, int NumRanks,
                              int InputLevel = 0) const;
 

@@ -66,10 +66,11 @@ struct CampaignConfig {
   bool TraceRuns = true;
   /// Execution engine for the clean run and the injection loop. Vm asks
   /// the harness to run on the bytecode VM (10-100x faster, observably
-  /// equivalent — see DESIGN.md); harnesses that cannot honor it fall
-  /// back to the interpreter per run, and hook-dependent paths
-  /// (traceValueSteps, propagation re-execution) always use the
-  /// interpreter. The record stream is bit-identical either way.
+  /// equivalent — see DESIGN.md), the pruning trace (traceValueSteps)
+  /// included; harnesses that cannot honor it fall back to the
+  /// interpreter per run, and observer-driven propagation re-execution
+  /// always uses the interpreter. The record stream is bit-identical
+  /// either way.
   ExecBackend Backend = ExecBackend::Interp;
   /// Live streaming telemetry: when nonzero, a monitor thread emits one
   /// `campaign.heartbeat` trace event every HeartbeatMs milliseconds —

@@ -52,13 +52,13 @@ ProgramExecutor::Run ProgramExecutor::run(const ModuleLayout &Layout,
   const char *Reason = nullptr;
   if (With.Obs)
     Reason = "observer";
-  else if (With.Trace)
-    Reason = "trace";
   else if (With.Prof &&
            With.Prof->mode() != CostProfiler::Mode::Counting)
     Reason = "profile_context";
+  else if (With.Prof && With.Trace)
+    Reason = "other"; // the VM traces or profiles a run, not both
   else if (std::unique_ptr<vm::VmContext> Ctx = acquireVm(Layout))
-    return runVm(std::move(Ctx), Entry, Plan, StepBudget, With.Prof);
+    return runVm(std::move(Ctx), Entry, Plan, StepBudget, With);
   else
     Reason = "compile";
   Run R = runInterp(Layout, Entry, Plan, StepBudget, With);
@@ -94,7 +94,7 @@ ProgramExecutor::runInterp(const ModuleLayout &Layout, const Function *Entry,
   R.Rec.Trap = Ctx.trap();
   R.Rec.Steps = Ctx.steps();
   R.Rec.ValueSteps = Ctx.valueSteps();
-  R.Rec.CriticalPathCycles = Ctx.steps() + Ctx.commCost();
+  R.Rec.CriticalPathCycles = Ctx.steps(); // serial: no communication cost
   R.Rec.FaultInjected = Ctx.faultWasInjected();
   R.Rec.FaultedInstructionId = Ctx.faultedInstructionId();
   if (S == RunStatus::Finished) {
@@ -105,9 +105,13 @@ ProgramExecutor::runInterp(const ModuleLayout &Layout, const Function *Entry,
   return R;
 }
 
-std::unique_ptr<vm::VmContext>
-ProgramExecutor::acquireVm(const ModuleLayout &Layout) {
+const vm::VmProgram *
+ProgramExecutor::vmProgram(const ModuleLayout &Layout) {
   std::lock_guard<std::mutex> Lock(VmMutex);
+  return compiled(Layout);
+}
+
+const vm::VmProgram *ProgramExecutor::compiled(const ModuleLayout &Layout) {
   if (VmLayoutId != Layout.id()) {
     VmLayoutId = Layout.id();
     VmPool.clear();
@@ -118,7 +122,13 @@ ProgramExecutor::acquireVm(const ModuleLayout &Layout) {
         VmProg.reset();
     }
   }
-  if (!VmProg)
+  return VmProg.get();
+}
+
+std::unique_ptr<vm::VmContext>
+ProgramExecutor::acquireVm(const ModuleLayout &Layout) {
+  std::lock_guard<std::mutex> Lock(VmMutex);
+  if (!compiled(Layout))
     return nullptr;
   if (VmPool.empty()) {
     vm::VmContext::Config CtxCfg;
@@ -134,21 +144,22 @@ ProgramExecutor::acquireVm(const ModuleLayout &Layout) {
 ProgramExecutor::Run
 ProgramExecutor::runVm(std::unique_ptr<vm::VmContext> Ctx,
                        const Function *Entry, const FaultPlan *Plan,
-                       uint64_t StepBudget, CostProfiler *Prof) {
+                       uint64_t StepBudget, const Instruments &With) {
   Run R;
   uint64_t OutPtr = 0;
   if (Cfg.OutputSlots && !(OutPtr = Ctx->hostAlloc(Cfg.OutputSlots))) {
     R.Rec = failedRun(TrapKind::OutOfMemory);
   } else {
-    // Counting-mode profiling runs natively in the VM dispatch loop;
-    // counts and stream hashes land in the profiler's own buffers,
-    // bit-identical to the interpreter hook.
+    // Counting-mode profiling and value-step traces run natively in the
+    // VM dispatch loop; counts, stream hashes and trace entries land in
+    // the caller's buffers, bit-identical to the interpreter's.
     ProfileHook Hook;
-    if (Prof)
-      Hook = Prof->countingHook(Entry);
+    if (With.Prof)
+      Hook = With.Prof->countingHook(Entry);
     vm::VmContext::Result V = Ctx->run(VmEntryIndex, callArgs(Cfg, OutPtr),
                                        Plan, StepBudget,
-                                       Prof ? &Hook : nullptr);
+                                       With.Prof ? &Hook : nullptr,
+                                       With.Trace);
     R.Rec.Status = V.Status;
     R.Rec.Trap = V.Trap;
     R.Rec.Steps = V.Steps;

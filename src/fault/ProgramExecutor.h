@@ -11,7 +11,9 @@
 /// executor picks the engine (reference interpreter or bytecode VM),
 /// compiles bytecode lazily once per layout, pools VM contexts across
 /// runs and threads, and tags every run the VM hands back to the
-/// interpreter with its vm.fallback.<reason>.
+/// interpreter with its vm.fallback.<reason> (an observer, a
+/// context-mode profile, or a module that does not compile). Multi-rank
+/// jobs (mpi/SimMpi.h) reuse its compiled program through vmProgram().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,22 +33,6 @@ namespace vm {
 struct VmProgram;
 class VmContext;
 } // namespace vm
-
-/// Bounds-checked readback of \p Slots 8-byte values at \p Addr from
-/// either engine's memory (interp Memory and vm::VmArena share the
-/// validRange/read64 interface and the address layout); empty when the
-/// range is not valid memory.
-template <class MemoryT>
-std::vector<RtValue> readOutputSlots(const MemoryT &Mem, uint64_t Addr,
-                                     uint64_t Slots) {
-  std::vector<RtValue> Out;
-  if (!Mem.validRange(Addr, Slots * 8))
-    return Out;
-  Out.reserve(Slots);
-  for (uint64_t K = 0; K != Slots; ++K)
-    Out.push_back(RtValue{Mem.read64(Addr + K * 8)});
-  return Out;
-}
 
 class ProgramExecutor {
 public:
@@ -74,8 +60,10 @@ public:
   ~ProgramExecutor();
 
   /// Vm routes runs through the bytecode VM when the module compiles;
-  /// otherwise, and for runs whose instruments need the interpreter,
-  /// the run falls back and is tagged with its reason.
+  /// otherwise, and for runs whose instruments need the interpreter
+  /// (an observer, a context-mode profiler, or a value-step trace
+  /// together with a profiler), the run falls back and is tagged with
+  /// its reason.
   void setBackend(ExecBackend B) { Backend = B; }
   ExecBackend backend() const { return Backend; }
 
@@ -89,6 +77,12 @@ public:
   Run run(const ModuleLayout &Layout, const FaultPlan *Plan,
           uint64_t StepBudget, const Instruments &With = {});
 
+  /// The bytecode for \p Layout (compiled on first use, shared with this
+  /// executor's pooled contexts); null when the module or the entry does
+  /// not compile. Thread-safe; the program lives until the layout
+  /// changes or the executor is destroyed.
+  const vm::VmProgram *vmProgram(const ModuleLayout &Layout);
+
   /// The record of a run that could not start, or that its harness
   /// refuses (a fault plan or instrument on a multi-rank run).
   static ExecutionRecord failedRun(TrapKind Trap);
@@ -98,10 +92,14 @@ private:
                 const FaultPlan *Plan, uint64_t StepBudget,
                 const Instruments &With);
   Run runVm(std::unique_ptr<vm::VmContext> Ctx, const Function *Entry,
-            const FaultPlan *Plan, uint64_t StepBudget, CostProfiler *Prof);
+            const FaultPlan *Plan, uint64_t StepBudget,
+            const Instruments &With);
   /// Compiles \p Layout on first use (recompiling when the layout
-  /// changes) and lends out a pooled context; null when the module does
-  /// not compile to bytecode.
+  /// changes); null when the module does not compile to bytecode.
+  /// Callers hold VmMutex.
+  const vm::VmProgram *compiled(const ModuleLayout &Layout);
+  /// Lends out a pooled context for \p Layout's program; null when the
+  /// module does not compile to bytecode.
   std::unique_ptr<vm::VmContext> acquireVm(const ModuleLayout &Layout);
 
   const Config Cfg;

@@ -18,7 +18,7 @@ namespace {
 /// The closed set of fallback reasons; the last one counts every reason
 /// not listed before it.
 constexpr const char *FallbackReasons[] = {
-    "compile", "observer", "profile_context", "trace", "mpi", "other"};
+    "compile", "observer", "profile_context", "other"};
 constexpr size_t NumFallbackReasons = std::size(FallbackReasons);
 
 /// Pre-resolved vm.fallback.<reason> handles: the registry lookup is a

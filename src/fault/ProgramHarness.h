@@ -24,10 +24,10 @@ class CostProfiler; // interp/CostProfiler.h
 /// Which execution engine a harness should use for its runs. Interp is
 /// the reference tree-walking interpreter; Vm is the threaded-code
 /// bytecode VM (vm/VM.h), observably equivalent but much faster on
-/// campaign workloads. Counting-mode profiled runs execute natively on
-/// the VM too; runs that need interpreter observers (propagation
-/// tracing, context profiling, value-step traces) always use the
-/// interpreter regardless of this setting.
+/// campaign workloads. Counting-mode profiled runs, value-step traces
+/// and multi-rank jobs execute natively on the VM too; runs that need
+/// interpreter observers (propagation tracing, context profiling)
+/// always use the interpreter regardless of this setting.
 enum class ExecBackend : uint8_t { Interp, Vm };
 
 const char *backendName(ExecBackend B);
@@ -57,17 +57,18 @@ struct ExecutionRecord {
 /// and returns \p Reason, so harnesses can tag an ExecutionRecord and
 /// count the fallback in one expression. Reasons in use: "compile"
 /// (module/entry does not compile to bytecode), "observer" (run needs
-/// an interpreter observer), "profile_context" (context-mode profiling),
-/// "trace" (value-step tracing), "mpi" (multi-rank SimMPI run); anything
-/// else counts as "other".
+/// an interpreter observer), "profile_context" (context-mode profiling);
+/// anything else counts as "other" (a value-step trace requested
+/// together with a profiler).
 const char *noteVmFallback(const char *Reason);
 
 /// Sum of every vm.fallback.<reason> counter noteVmFallback() bumps.
 uint64_t vmFallbackTotal();
 
-/// Optional per-run instruments. An observer, a value-step trace or a
-/// context-mode profiler pins the run to the interpreter; a
-/// counting-mode profiler runs natively on either engine.
+/// Optional per-run instruments. An observer or a context-mode profiler
+/// pins the run to the interpreter; a counting-mode profiler or a
+/// value-step trace runs natively on either engine (one of the two per
+/// VM run).
 struct Instruments {
   /// Receives every value commit, memory access and control decision.
   ExecObserver *Obs = nullptr;
@@ -100,9 +101,8 @@ public:
   /// Requests an execution backend for subsequent runs. The backends
   /// are observably equivalent, so this is purely a throughput hint: a
   /// run the VM cannot take (module does not compile to bytecode, or the
-  /// run needs an interpreter observer, a value-step trace, context
-  /// profiling or SimMPI) executes on the interpreter and is tagged with
-  /// its fallback reason.
+  /// run needs an interpreter observer or context profiling) executes on
+  /// the interpreter and is tagged with its fallback reason.
   virtual void setPreferredBackend(ExecBackend Backend) = 0;
 
   /// True when run() honors instruments. Callers that need one

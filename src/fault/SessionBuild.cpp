@@ -23,13 +23,11 @@ namespace {
 
 /// The canonical vm.fallback.* reason set (fault/ProgramHarness.cpp).
 /// Always recorded in this order, zero or not, so the serialized layout
-/// does not depend on which reasons happened to fire. Deliberately not
-/// vmFallbackTotal()'s list: adding `mpi` here would change the pinned
-/// .ipses bytes (TestStoreEnvelope), so it waits for a version bump.
+/// does not depend on which reasons happened to fire. The manifest stores
+/// name/count pairs, so the set can change without a format bump.
 const char *const FallbackReasons[] = {
     "vm.fallback.compile", "vm.fallback.observer",
-    "vm.fallback.profile_context", "vm.fallback.trace",
-    "vm.fallback.other"};
+    "vm.fallback.profile_context", "vm.fallback.other"};
 
 } // namespace
 

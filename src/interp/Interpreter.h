@@ -14,7 +14,8 @@
 ///
 /// MPI intrinsics execute inline for single-rank contexts; in multi-rank
 /// jobs they suspend the context (RunStatus::Blocked) until the SimMPI
-/// scheduler resolves the collective across ranks.
+/// scheduler resolves the collective across ranks. The bytecode VM
+/// (vm/VM.h) implements the same contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -187,8 +188,6 @@ public:
   uint64_t opcodeCount(Opcode Op) const {
     return OpCount[static_cast<unsigned>(Op)];
   }
-  uint64_t commCost() const { return CommCost; }
-  void addCommCost(uint64_t C) { CommCost += C; }
 
   Memory &memory() { return Mem; }
   const Memory &memory() const { return Mem; }
@@ -282,7 +281,6 @@ private:
   RtValue ReturnValue;
   uint64_t Steps = 0;
   uint64_t ValueSteps = 0;
-  uint64_t CommCost = 0;
   Rng WorkloadRng;
   FaultPlan Plan;
   bool FaultInjected = false;

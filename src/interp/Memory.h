@@ -16,6 +16,8 @@
 #ifndef IPAS_INTERP_MEMORY_H
 #define IPAS_INTERP_MEMORY_H
 
+#include "interp/RuntimeValue.h"
+
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -85,6 +87,22 @@ private:
   uint64_t StackBase, StackLimit, StackPtr;
   uint64_t HeapBase, HeapLimit, HeapPtr;
 };
+
+/// Bounds-checked readback of \p Slots 8-byte values at \p Addr from
+/// either engine's memory (Memory and vm::VmArena share the
+/// validRange/read64 interface and the address layout); empty when the
+/// range is not valid memory.
+template <class MemoryT>
+std::vector<RtValue> readOutputSlots(const MemoryT &Mem, uint64_t Addr,
+                                     uint64_t Slots) {
+  std::vector<RtValue> Out;
+  if (!Mem.validRange(Addr, Slots * 8))
+    return Out;
+  Out.reserve(Slots);
+  for (uint64_t K = 0; K != Slots; ++K)
+    Out.push_back(RtValue{Mem.read64(Addr + K * 8)});
+  return Out;
+}
 
 } // namespace ipas
 

@@ -427,6 +427,12 @@ private:
       unary(Op);
       In.C = regOf(Call->arg(1));
     };
+    // A collective carries what a multi-rank VmContext suspends with:
+    // the intrinsic (X) and how many of B, C, D are its arguments (Y).
+    auto collective = [&](int32_t NumArgs) {
+      In.X = static_cast<int32_t>(Call->intrinsicId());
+      In.Y = NumArgs;
+    };
     switch (Call->intrinsicId()) {
     case Intrinsic::Sqrt: unary(VmOp::ISqrt); break;
     case Intrinsic::Fabs: unary(VmOp::IFabs); break;
@@ -464,13 +470,18 @@ private:
       break;
     case Intrinsic::MpiBarrier:
       In.Op = VmOp::IMpiBarrier;
+      collective(0);
       break;
     case Intrinsic::MpiAllreduceSumD:
     case Intrinsic::MpiAllreduceMaxD:
     case Intrinsic::MpiAllreduceSumI:
+      unary(VmOp::IMpiIdentity);
+      collective(1);
+      break;
     case Intrinsic::MpiBcastD:
     case Intrinsic::MpiBcastI:
-      unary(VmOp::IMpiIdentity);
+      binary(VmOp::IMpiIdentity); // value, root
+      collective(2);
       break;
     case Intrinsic::MpiAllgatherD:
     case Intrinsic::MpiAlltoallD:
@@ -478,6 +489,7 @@ private:
       In.B = regOf(Call->arg(0)); // send
       In.C = regOf(Call->arg(1)); // recv
       In.D = regOf(Call->arg(2)); // slot count
+      collective(3);
       break;
     case Intrinsic::None:
       return fail("intrinsic call without id in '" + VF->Name + "'");

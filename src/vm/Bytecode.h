@@ -147,9 +147,11 @@ constexpr uint16_t kNoReg = 0xffff;
 
 /// One decoded instruction. A is the destination register for
 /// value-producing ops; B/C/D are operand registers; X/Y are absolute
-/// code offsets (branches), table indices (PhiCommit, Call, Alloca) or
-/// unused. Id is the source instruction id — the fault-attribution key
-/// recorded in `.iprec` streams.
+/// code offsets (branches), table indices (PhiCommit, Call, Alloca), the
+/// intrinsic and argument count of an MPI collective (IMpiBarrier,
+/// IMpiIdentity, IMpiCopy: arguments in B, C, D), or unused. Id is the
+/// source instruction id — the fault-attribution key recorded in
+/// `.iprec` streams.
 struct VmInst {
   VmOp Op;
   uint16_t A = 0;

@@ -131,8 +131,72 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
   Frames.reserve(64);
 }
 
+void VmContext::start(uint32_t FnIndex, const std::vector<RtValue> &Args,
+                      const FaultPlan *RunPlan) {
+  if (!HostAllocated)
+    Arena.reset();
+  HostAllocated = false;
+  WorkloadRng.reseed(Cfg.WorkloadRngSeed);
+  Frames.clear();
+
+  assert(FnIndex < P.Functions.size() && "bad entry function index");
+  const VmFunction &Entry = P.Functions[FnIndex];
+  assert(Entry.NumArgs == Args.size() && "entry argument count mismatch");
+  if (RegStack.size() < Entry.regsTotal())
+    RegStack.resize(Entry.regsTotal());
+  // Register files are not cleared between runs: the IR verifier
+  // guarantees defs dominate uses (faults flip values, never the CFG
+  // edges control follows), phi reads go through staging registers the
+  // edge just wrote, and arguments/constants are rewritten here.
+  for (size_t K = 0; K != Args.size(); ++K)
+    RegStack[K] = Args[K].Bits;
+  std::copy(Entry.ConstPool.begin(), Entry.ConstPool.end(),
+            RegStack.begin() + Entry.ConstBase);
+  VmFrame F;
+  F.Fn = &Entry;
+  F.SavedStackPtr = Arena.stackPointer();
+  Frames.push_back(F);
+
+  Plan = RunPlan ? *RunPlan : FaultPlan();
+  St = Result();
+  St.Status = RunStatus::Running;
+  ResumePC = Entry.CodeStart;
+  Pending = PendingMpi();
+}
+
+void VmContext::completePendingCall(RtValue Value) {
+  assert(St.Status == RunStatus::Blocked && "no pending call to complete");
+  const VmInst &In = P.Code[ResumePC];
+  ++St.Steps;
+  // Every value-producing collective (allreduce, bcast) is an
+  // IMpiIdentity committing at width 64, like its inline single-rank
+  // form; barriers and buffer collectives commit nothing.
+  if (In.Op == VmOp::IMpiIdentity) {
+    uint64_t V = Value.Bits;
+    if (St.ValueSteps == Plan.TargetValueStep) {
+      V = flipBits(V, static_cast<unsigned>(Plan.BitDraw), 64);
+      St.FaultInjected = true;
+      St.FaultedInstructionId = In.Id;
+    }
+    ++St.ValueSteps;
+    RegStack[Frames.back().RegBase + In.A] = V;
+  }
+  ++ResumePC;
+  Pending.Op = Intrinsic::None;
+  St.Status = RunStatus::Running;
+}
+
+void VmContext::failPending(TrapKind K) {
+  assert(St.Status == RunStatus::Blocked && "no pending call to fail");
+  Pending.Op = Intrinsic::None;
+  St.Status = RunStatus::Trapped;
+  St.Trap = K;
+}
+
 // Counting-mode profiling hooks, compiled in only in the profiled
-// instantiations of runImpl (counting-only and counting+hashes). Per-site counts are NOT bumped per step:
+// instantiations of runImpl (counting-only and counting+hashes), and the
+// value-step trace, compiled in only in the traced one. Per-site counts
+// are NOT bumped per step:
 // every control transfer is explicit in the bytecode (CondBr carries
 // both targets, calls and returns jump), so a straight-line instruction
 // executes exactly as often as control enters its run. VM_EDGE tallies
@@ -141,10 +205,11 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
 // loop pays one increment per branch instead of one per step. VM_FOLD
 // mirrors CostProfiler::onValueCommit (every committed value, post-flip
 // bits); value commits cannot be batched the same way because the hash
-// folds the bits that flowed, not how often.
+// folds the bits that flowed, not how often. The trace appends at the
+// same point (ExecutionContext::writeResult's value-step trace).
 #define VM_EDGE()                                                              \
   do {                                                                         \
-    if constexpr (Mode != ProfOff)                                             \
+    if constexpr (Counting)                                                    \
       ++EC[PC];                                                                \
   } while (0)
 
@@ -152,6 +217,8 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
   do {                                                                         \
     if constexpr (Mode == ProfCountHash)                                       \
       foldCommitHash(FH, HookIdToFn, HookFirstId, (Id), (Bits));               \
+    else if constexpr (Mode == ProfTrace)                                      \
+      Tr->push_back(Id);                                                       \
   } while (0)
 
 // Budget check + step accounting of ExecutionContext::run/stepOnce: the
@@ -179,6 +246,22 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
     R[In->A] = CommitV;                                                        \
   } while (0)
 
+// A collective in a multi-rank job (ExecutionContext::execIntrinsic):
+// the budget check of the step it will take, then suspend with its
+// arguments pending; PC stays on the collective until the scheduler
+// completes it, which counts the step. The other instantiations are
+// single-rank and fall through to the inline identity.
+#define VM_MPI_COLLECTIVE()                                                    \
+  do {                                                                         \
+    if constexpr (Mode == MultiRank) {                                         \
+      if (Steps >= MaxSteps)                                                   \
+        goto out_of_steps;                                                     \
+      suspendAt(*In, R);                                                       \
+      Res.Status = RunStatus::Blocked;                                         \
+      goto done;                                                               \
+    }                                                                          \
+  } while (0)
+
 #define VM_TRAP(K)                                                             \
   do {                                                                         \
     TrapOut = TrapKind::K;                                                     \
@@ -200,79 +283,82 @@ VmContext::VmContext(const VmProgram &Prog, const Config &C)
 VmContext::Result VmContext::run(uint32_t FnIndex,
                                  const std::vector<RtValue> &Args,
                                  const FaultPlan *Plan, uint64_t MaxSteps,
-                                 const ProfileHook *Prof) {
+                                 const ProfileHook *Prof,
+                                 std::vector<unsigned> *Trace) {
+  assert(!(Trace && Prof) && "a traced run cannot also be profiled");
+  assert((Cfg.NumRanks <= 1 || (!Trace && !Prof)) &&
+         "profiles and traces are single-rank");
+  start(FnIndex, Args, Plan);
   // Dispatch to a dedicated instantiation so the unprofiled hot path
   // carries zero profiling code (bench/vm_speedup gates that), and the
   // counting-only path carries no hash-fold code (bench/
   // vm_profile_overhead gates that).
+  if (Trace)
+    return runImpl<ProfTrace>(MaxSteps, nullptr, Trace);
   if (Prof && Prof->SiteCounts) {
+    EdgeCounts.assign(P.Code.size(), 0);
+    ++EdgeCounts[ResumePC]; // the entry offset is "entered" once per run
     if (Prof->FnHashes)
-      return runImpl<ProfCountHash>(FnIndex, Args, Plan, MaxSteps, Prof);
-    return runImpl<ProfCount>(FnIndex, Args, Plan, MaxSteps, Prof);
+      return runImpl<ProfCountHash>(MaxSteps, Prof, nullptr);
+    return runImpl<ProfCount>(MaxSteps, Prof, nullptr);
   }
-  return runImpl<ProfOff>(FnIndex, Args, Plan, MaxSteps, nullptr);
+  return resume(MaxSteps);
+}
+
+VmContext::Result VmContext::resume(uint64_t MaxSteps) {
+  if (Cfg.NumRanks > 1)
+    return runImpl<MultiRank>(MaxSteps, nullptr, nullptr);
+  return runImpl<ProfOff>(MaxSteps, nullptr, nullptr);
+}
+
+void VmContext::suspendAt(const VmInst &In, const uint64_t *R) {
+  // The collective's intrinsic and argument registers are in the
+  // instruction (vm/Bytecode.h).
+  Pending.Op = static_cast<Intrinsic>(In.X);
+  const uint16_t ArgRegs[3] = {In.B, In.C, In.D};
+  for (int32_t K = 0; K != In.Y; ++K)
+    Pending.Args[K] = RtValue{R[ArgRegs[K]]};
 }
 
 template <int Mode>
-VmContext::Result VmContext::runImpl(uint32_t FnIndex,
-                                     const std::vector<RtValue> &Args,
-                                     const FaultPlan *Plan, uint64_t MaxSteps,
-                                     const ProfileHook *Prof) {
-  Result Res;
-  if (!HostAllocated)
-    Arena.reset();
-  HostAllocated = false;
-  WorkloadRng.reseed(Cfg.WorkloadRngSeed);
-  Frames.clear();
+VmContext::Result VmContext::runImpl(uint64_t MaxSteps,
+                                     const ProfileHook *Prof,
+                                     std::vector<unsigned> *Trace) {
+  constexpr bool Counting = Mode == ProfCount || Mode == ProfCountHash;
+  if (St.Status == RunStatus::OutOfSteps)
+    St.Status = RunStatus::Running; // a budget stop is resumable
+  if (St.Status != RunStatus::Running)
+    return St;
 
-  assert(FnIndex < P.Functions.size() && "bad entry function index");
-  const VmFunction &Entry = P.Functions[FnIndex];
-  assert(Entry.NumArgs == Args.size() && "entry argument count mismatch");
-  if (RegStack.size() < Entry.regsTotal())
-    RegStack.resize(Entry.regsTotal());
-  // Register files are not cleared between runs: the IR verifier
-  // guarantees defs dominate uses (faults flip values, never the CFG
-  // edges control follows), phi reads go through staging registers the
-  // edge just wrote, and arguments/constants are rewritten here.
-  for (size_t K = 0; K != Args.size(); ++K)
-    RegStack[K] = Args[K].Bits;
-  std::copy(Entry.ConstPool.begin(), Entry.ConstPool.end(),
-            RegStack.begin() + Entry.ConstBase);
-  {
-    VmFrame F;
-    F.Fn = &Entry;
-    F.SavedStackPtr = Arena.stackPointer();
-    Frames.push_back(F);
-  }
-
-  uint64_t Steps = 0;
-  uint64_t VS = 0;
-  if constexpr (Mode != ProfOff)
-    EdgeCounts.assign(P.Code.size(), 0);
+  // The exits fill a local Result and copy it back once: writing St
+  // through `this` on every exit path costs the dispatch loop a register.
+  Result Res = St;
+  uint64_t Steps = Res.Steps;
+  uint64_t VS = Res.ValueSteps;
   // __restrict matters: the profiler buffers are uint64_t like the
   // register file, so without it every tally/fold store forces the
   // compiler to reload VM state in the dispatch loop.
   [[maybe_unused]] uint64_t *const __restrict EC =
-      Mode != ProfOff ? EdgeCounts.data() : nullptr;
+      Counting ? EdgeCounts.data() : nullptr;
   [[maybe_unused]] uint64_t *const __restrict FH =
       Mode == ProfCountHash ? Prof->FnHashes : nullptr;
   [[maybe_unused]] const uint32_t *const HookIdToFn =
       Mode == ProfCountHash ? Prof->IdToFn : nullptr;
   [[maybe_unused]] const uint64_t *const HookFirstId =
       Mode == ProfCountHash ? Prof->FirstId : nullptr;
-  const uint64_t FaultTarget = Plan ? Plan->TargetValueStep : UINT64_MAX;
-  const unsigned BitIndex =
-      Plan ? static_cast<unsigned>(Plan->BitDraw) : 0u;
-  bool FaultInjected = false;
-  uint32_t FaultedId = 0;
+  [[maybe_unused]] std::vector<unsigned> *const Tr =
+      Mode == ProfTrace ? Trace : nullptr;
+  const uint64_t FaultTarget = Plan.TargetValueStep;
+  const unsigned BitIndex = static_cast<unsigned>(Plan.BitDraw);
+  bool FaultInjected = Res.FaultInjected;
+  uint32_t FaultedId = Res.FaultedInstructionId;
   TrapKind TrapOut = TrapKind::None;
   uint64_t RetBits = 0;
 
   const VmInst *Code = P.Code.data();
   const VmInst *In = nullptr;
-  uint64_t *R = RegStack.data();
-  uint32_t PC = Entry.CodeStart;
-  VM_EDGE(); // the entry offset is "entered" once per run
+  uint64_t *R = RegStack.data() + Frames.back().RegBase;
+  uint32_t PC = ResumePC;
 
 #ifdef IPAS_VM_COMPUTED_GOTO
   static const void *const Dispatch[kNumVmOps] = {
@@ -892,28 +978,33 @@ dispatch:
   }
   VM_CASE(IMpiRank) {
     VM_STEP();
-    VM_COMMIT(64, 0); // single-rank semantics, like execMpiSingleRank
+    // Single-rank semantics (execMpiSingleRank) outside a job.
+    VM_COMMIT(64, Mode == MultiRank ? static_cast<uint64_t>(Cfg.Rank) : 0);
     ++PC;
     VM_NEXT();
   }
   VM_CASE(IMpiSize) {
     VM_STEP();
-    VM_COMMIT(64, 1);
+    VM_COMMIT(64,
+              Mode == MultiRank ? static_cast<uint64_t>(Cfg.NumRanks) : 1);
     ++PC;
     VM_NEXT();
   }
   VM_CASE(IMpiBarrier) {
+    VM_MPI_COLLECTIVE();
     VM_STEP();
     ++PC;
     VM_NEXT();
   }
   VM_CASE(IMpiIdentity) {
+    VM_MPI_COLLECTIVE();
     VM_STEP();
     VM_COMMIT(64, R[In->B]);
     ++PC;
     VM_NEXT();
   }
   VM_CASE(IMpiCopy) {
+    VM_MPI_COLLECTIVE();
     VM_STEP();
     {
       uint64_t Send = R[In->B];
@@ -958,7 +1049,9 @@ done:
   Res.ValueSteps = VS;
   Res.FaultInjected = FaultInjected;
   Res.FaultedInstructionId = FaultedId;
-  if constexpr (Mode != ProfOff) {
+  St = Res;
+  ResumePC = PC;
+  if constexpr (Counting) {
     // Every exit leaves PC at the instruction the run stopped on. Its
     // final arrival counted a step except when the budget ran out or
     // the call-depth trap fired — both are checked before the step is

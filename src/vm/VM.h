@@ -10,12 +10,14 @@
 /// IPAS_VM_FORCE_SWITCH to force the fallback). The VM is a drop-in
 /// replacement for the interpreter on the campaign hot path and clones
 /// its observable semantics exactly: step and value-step accounting,
-/// trap conditions, fault-injection sites, output bits — and, when a
-/// ProfileHook is armed, counting-mode profiling (per-site counts and
-/// per-function stream hashes, bit-identical to the interpreter's).
-/// Anything it cannot express (observers, value-step traces,
-/// multi-rank MPI) stays on the interpreter — fault/ProgramExecutor.h
-/// falls back per run and tags the record with a vm.fallback reason.
+/// trap conditions, fault-injection sites, output bits — and, when
+/// asked, counting-mode profiling (per-site counts and per-function
+/// stream hashes) and value-step traces, bit-identical to the
+/// interpreter's. A context can also be one rank of a SimMPI job
+/// (mpi/SimMpi.h): collectives suspend it until the scheduler resolves
+/// them. What it cannot express (interpreter observers, context-mode
+/// profiling) stays on the interpreter — fault/ProgramExecutor.h falls
+/// back per run and tags the record with a vm.fallback reason.
 ///
 /// Two things make it fast:
 ///  - threaded dispatch over flat pre-decoded instructions with all
@@ -131,15 +133,27 @@ private:
 };
 
 /// Reusable execution state for one VmProgram: arena, register stack and
-/// frame stack. run() fully resets the context, so one VmContext can
+/// frame stack. start() fully resets the context, so one VmContext can
 /// serve thousands of campaign runs back to back; it is not
 /// thread-safe — use one context per thread (fault/ProgramExecutor.h
 /// keeps a pool).
+///
+/// A run is start() followed by resume() calls: the dispatch state (PC,
+/// step and value-step counters, fault flags, frames) lives in the
+/// context between them. With Config::NumRanks > 1 the context is one
+/// rank of a SimMPI job (mpi/SimMpi.h): mpi_rank()/mpi_size() return the
+/// configured values and a collective suspends the run with
+/// RunStatus::Blocked until the scheduler resolves it through
+/// completePendingCall() or failPending() — the interpreter
+/// ExecutionContext's multi-rank contract, step for step. With one rank
+/// the collectives are the interpreter's inline single-rank identities.
 class VmContext {
 public:
   struct Config {
     Memory::Config Mem;
     unsigned MaxCallDepth = 512;
+    int Rank = 0;
+    int NumRanks = 1;
     uint64_t WorkloadRngSeed = 0x1234abcd;
   };
 
@@ -156,9 +170,23 @@ public:
   VmContext(const VmProgram &P, const Config &Cfg);
   explicit VmContext(const VmProgram &P) : VmContext(P, Config()) {}
 
-  /// Executes function \p FnIndex on \p Args under \p Plan (null = clean)
-  /// with the interpreter's cumulative step budget semantics: the budget
-  /// is checked before every step, phi groups commit atomically.
+  const VmProgram &program() const { return P; }
+
+  /// Prepares function \p FnIndex on \p Args under \p Plan (null =
+  /// clean): resets the arena (unless hostAlloc() just did), the workload
+  /// RNG, the frames and every counter. Nothing executes until resume().
+  void start(uint32_t FnIndex, const std::vector<RtValue> &Args,
+             const FaultPlan *Plan);
+
+  /// Executes from where the context stopped until it finishes, traps,
+  /// detects, blocks on a collective, or its *cumulative* step count
+  /// reaches \p MaxSteps (OutOfSteps; resumable with a larger budget),
+  /// with the interpreter's budget semantics: the budget is checked
+  /// before every step, phi groups commit atomically. A context that
+  /// finished, trapped, detected or is blocked returns its state as is.
+  Result resume(uint64_t MaxSteps);
+
+  /// start() plus one resume().
   ///
   /// \p Prof, when non-null (with SiteCounts set), arms counting-mode
   /// profiling: per-site counts and optional per-function FNV stream
@@ -168,37 +196,74 @@ public:
   /// entry counter at branches, calls and returns, and the exact
   /// per-instruction counts are reconstructed afterwards by one linear
   /// walk over the bytecode (straight-line ops execute exactly as often
-  /// as control enters their run). The profiled loop is a separate
-  /// template instantiation, so passing null costs the unprofiled hot
-  /// path nothing.
+  /// as control enters their run).
+  ///
+  /// \p Trace, when non-null, receives per committed value step the id
+  /// of the instruction that produced it — the interpreter's
+  /// ExecutionContext::setValueStepTrace, entry for entry. It cannot be
+  /// combined with \p Prof, and neither applies to a multi-rank rank.
+  ///
+  /// The profiled and traced loops are separate template
+  /// instantiations, so passing null costs the unprofiled hot path
+  /// nothing.
   Result run(uint32_t FnIndex, const std::vector<RtValue> &Args,
              const FaultPlan *Plan, uint64_t MaxSteps,
-             const ProfileHook *Prof = nullptr);
+             const ProfileHook *Prof = nullptr,
+             std::vector<unsigned> *Trace = nullptr);
 
   /// Host-side heap allocation for I/O buffers shared with the next
   /// run (ExecutionContext::hostAlloc). The first allocation after a
-  /// run resets the arena and the next run() keeps it, so the address is
-  /// exactly the one a freshly constructed interpreter context returns —
-  /// a flipped pointer bit then gets the same bounds verdict on either
-  /// backend. Returns 0 when the heap is exhausted.
+  /// run resets the arena and the next start() keeps it, so the address
+  /// is exactly the one a freshly constructed interpreter context
+  /// returns — a flipped pointer bit then gets the same bounds verdict on
+  /// either backend. Returns 0 when the heap is exhausted.
   uint64_t hostAlloc(uint64_t Slots);
 
-  /// The arena as the last run left it, for bounds-checked output
-  /// readback (validRange() before read64()).
+  /// The arena as the run left it, for bounds-checked output readback
+  /// (validRange() before read64()) and SimMPI's buffer collectives.
   const VmArena &memory() const { return Arena; }
+  VmArena &memory() { return Arena; }
+
+  RunStatus status() const { return St.Status; }
+  TrapKind trap() const { return St.Trap; }
+  uint64_t steps() const { return St.Steps; }
+  uint64_t valueSteps() const { return St.ValueSteps; }
+  RtValue returnValue() const { return St.ReturnValue; }
+  bool faultWasInjected() const { return St.FaultInjected; }
+
+  // Multi-rank MPI interface (used by the SimMPI scheduler).
+  int rank() const { return Cfg.Rank; }
+  const PendingMpi &pending() const { return Pending; }
+  /// Completes the blocked collective with \p Value: one step, plus a
+  /// value step (subject to the fault plan) when the collective
+  /// produces a value. The next resume() continues after it.
+  void completePendingCall(RtValue Value);
+  /// Aborts the blocked collective with a trap (e.g. bad buffer).
+  void failPending(TrapKind K);
 
 private:
   /// Dispatch-loop instantiation selector: profiling off, site counts
-  /// only, or site counts + per-commit hash folds. Counting-only gets
-  /// its own instantiation because the hash-fold pointers otherwise
-  /// stay live across the whole dispatch loop and cost registers in
-  /// the hottest handlers even when hashes are disabled.
-  enum ProfiledMode { ProfOff = 0, ProfCount = 1, ProfCountHash = 2 };
+  /// only, site counts + per-commit hash folds, a value-step trace, or a
+  /// rank of a multi-rank job (collectives suspend). Counting-only gets
+  /// its own instantiation because the hash-fold pointers otherwise stay
+  /// live across the whole dispatch loop and cost registers in the
+  /// hottest handlers even when hashes are disabled; the trace appends
+  /// where the hash fold folds. The suspend paths get theirs for the
+  /// same reason: compiled into the serial loop, they cost it a register.
+  enum DispatchMode {
+    ProfOff = 0,
+    ProfCount = 1,
+    ProfCountHash = 2,
+    ProfTrace = 3,
+    MultiRank = 4
+  };
 
   template <int Mode>
-  Result runImpl(uint32_t FnIndex, const std::vector<RtValue> &Args,
-                 const FaultPlan *Plan, uint64_t MaxSteps,
-                 const ProfileHook *Prof);
+  Result runImpl(uint64_t MaxSteps, const ProfileHook *Prof,
+                 std::vector<unsigned> *Trace);
+  /// Records the collective \p In (operands in register file \p R) as
+  /// the pending operation.
+  void suspendAt(const VmInst &In, const uint64_t *R);
 
   /// Replays EdgeCounts into exact per-site step counts (+= into
   /// \p SiteCounts, which accumulates across runs like the interpreter
@@ -221,11 +286,19 @@ private:
   const VmProgram &P;
   Config Cfg;
   VmArena Arena;
-  /// True between hostAlloc() and the run() that consumes it.
+  /// True between hostAlloc() and the start() that consumes it.
   bool HostAllocated = false;
   std::vector<uint64_t> RegStack;
   std::vector<VmFrame> Frames;
   Rng WorkloadRng;
+  FaultPlan Plan;
+  /// The run so far, between start() and resume() calls (what resume()
+  /// returns); runImpl keeps the hot counters in locals and writes them
+  /// back on exit.
+  Result St;
+  /// Where resume() continues: the blocked collective while Blocked.
+  uint32_t ResumePC = 0;
+  PendingMpi Pending;
   /// Profiled runs only: per-bytecode-offset control-transfer entry
   /// tallies, zeroed per run and replayed by reconstructCounts().
   std::vector<uint64_t> EdgeCounts;

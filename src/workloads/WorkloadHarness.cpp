@@ -8,6 +8,8 @@
 
 #include "ir/Module.h"
 
+#include <optional>
+
 using namespace ipas;
 
 namespace {
@@ -70,58 +72,65 @@ ExecutionRecord WorkloadHarness::runParallel(const ModuleLayout &Layout,
                                              const FaultPlan *Plan,
                                              uint64_t StepBudget,
                                              const Instruments &With) {
-  // SimMPI schedules interpreter contexts only: a VM request is honored
-  // by serial runs and counted as an `mpi` fallback here.
-  const char *Fallback =
-      Exec.backend() == ExecBackend::Vm ? noteVmFallback("mpi") : nullptr;
-  auto Refuse = [Fallback](TrapKind Trap) {
-    ExecutionRecord R = ProgramExecutor::failedRun(Trap);
-    R.FallbackReason = Fallback;
-    return R;
-  };
   // Fault injection into parallel jobs is driven per rank via MpiJob
   // directly; a plan or instrument handed to this run would be ignored
   // and an injection would read as Masked, so refuse it in every build.
   const Function *Entry = Layout.module().getFunction(Workload::EntryName);
   if (Plan || With.Obs || With.Prof || With.Trace || !Entry ||
       Entry->numArgs() != Params.size() + 1)
-    return Refuse(TrapKind::BadEntry);
+    return ProgramExecutor::failedRun(TrapKind::BadEntry);
 
   MpiJob::Config JobCfg;
   JobCfg.NumRanks = NumRanks;
   JobCfg.Rank.Mem = W.memoryConfig(Params);
   JobCfg.Rank.WorkloadRngSeed = WorkloadSeed;
   JobCfg.StepBudgetPerRank = StepBudget;
-  MpiJob Job(Layout, JobCfg);
+  // The engine is chosen as for serial runs: the VM ranks execute the
+  // executor's compiled program; a module the VM cannot compile runs on
+  // the interpreter, tagged like a serial run.
+  const char *Fallback = nullptr;
+  std::optional<MpiJob> Job;
+  if (Exec.backend() == ExecBackend::Vm) {
+    if (const vm::VmProgram *Prog = Exec.vmProgram(Layout))
+      Job.emplace(*Prog, JobCfg);
+    else
+      Fallback = noteVmFallback("compile");
+  }
+  if (!Job)
+    Job.emplace(Layout, JobCfg);
 
   uint64_t Slots = W.outputSlots(Params);
   std::vector<uint64_t> OutPtrs(static_cast<size_t>(NumRanks), 0);
-  Job.start(Entry, [&](ExecutionContext &Ctx, int Rank) {
-    uint64_t OutPtr = Ctx.hostAlloc(Slots);
-    OutPtrs[static_cast<size_t>(Rank)] = OutPtr;
+  for (int Rank = 0; Rank != NumRanks; ++Rank)
+    OutPtrs[static_cast<size_t>(Rank)] = Job->hostAlloc(Rank, Slots);
+  // Every rank has the same heap, so one failed output allocation means
+  // all failed; refuse the run instead of handing ranks a null buffer.
+  if (OutPtrs[0] == 0) {
+    ExecutionRecord R = ProgramExecutor::failedRun(TrapKind::OutOfMemory);
+    R.FallbackReason = Fallback;
+    return R;
+  }
+  Job->start(Entry, [&](int Rank) {
     std::vector<RtValue> Args;
     for (int64_t P : Params)
       Args.push_back(RtValue::fromI64(P));
-    Args.push_back(RtValue::fromPtr(OutPtr));
+    Args.push_back(RtValue::fromPtr(OutPtrs[static_cast<size_t>(Rank)]));
     return Args;
   });
-  // Every rank has the same heap, so one failed output allocation means
-  // all failed; refuse the run instead of handing ranks a null buffer.
-  if (OutPtrs[0] == 0)
-    return Refuse(TrapKind::OutOfMemory);
-  JobResult JR = Job.run();
+  JobResult JR = Job->run();
 
   ExecutionRecord R;
   R.Status = JR.Status;
   R.Trap = JR.Trap;
   R.Steps = JR.TotalSteps;
-  R.ValueSteps = Job.rank(0).valueSteps();
+  R.ValueSteps = Job->valueSteps(0);
   R.CriticalPathCycles = JR.CriticalPathCycles;
+  R.BackendUsed = Job->runsOnVm() ? ExecBackend::Vm : ExecBackend::Interp;
   R.FallbackReason = Fallback;
   if (JR.Status == RunStatus::Finished) {
     // Rank 0's output is canonical (every rank assembles the full result).
-    R.OutputValid = verifyAgainstGolden(
-        readOutputSlots(Job.rank(0).memory(), OutPtrs[0], Slots));
+    R.OutputValid =
+        verifyAgainstGolden(Job->readSlots(0, OutPtrs[0], Slots));
   }
   return R;
 }

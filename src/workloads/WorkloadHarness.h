@@ -17,9 +17,10 @@ namespace ipas {
 /// The first clean execution captures the golden output used by the
 /// verification routine. Fault injection and instruments are supported
 /// for serial runs (the paper's coverage methodology, §6); multi-rank
-/// runs are used for the scalability measurements. Serial runs execute
-/// through a ProgramExecutor (so on the VM when it is preferred);
-/// multi-rank runs always run on SimMPI over the interpreter.
+/// runs are used for the scalability measurements. Every run executes on
+/// the preferred engine: serial runs through a ProgramExecutor,
+/// multi-rank runs as a SimMPI job whose ranks are VM contexts over the
+/// executor's compiled program (or interpreter contexts).
 class WorkloadHarness : public ProgramHarness {
 public:
   WorkloadHarness(const Workload &W, int InputLevel, int NumRanks = 1,
@@ -27,12 +28,13 @@ public:
 
   /// Serial runs go through the executor with \p With attached.
   /// Multi-rank runs execute on SimMPI and refuse a fault plan or any
-  /// instrument (Trapped, BadEntry) rather than silently drop it.
+  /// instrument (Trapped, BadEntry) rather than silently drop it. A
+  /// multi-rank run's ValueSteps are rank 0's.
   ExecutionRecord run(const ModuleLayout &Layout, const FaultPlan *Plan,
                       uint64_t StepBudget, const Instruments &With) override;
 
-  /// See ProgramExecutor::setBackend. Multi-rank runs stay on the
-  /// interpreter and are tagged with the `mpi` fallback reason.
+  /// See ProgramExecutor::setBackend; multi-rank jobs follow it too, and
+  /// fall back (reason `compile`) only when the module does not compile.
   void setPreferredBackend(ExecBackend B) override { Exec.setBackend(B); }
 
   /// Instruments (propagation tracing, cost profiling, value-step

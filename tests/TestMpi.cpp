@@ -6,45 +6,93 @@
 
 #include "TestUtil.h"
 
+#include "fault/ProgramHarness.h"
 #include "mpi/SimMpi.h"
+#include "vm/Bytecode.h"
+
+#include <optional>
+#include <stdexcept>
 
 using namespace ipas;
 using namespace ipas::testutil;
 
 namespace {
 
-/// Runs \p Src's `f(rank-independent args...)` on \p P ranks and returns
-/// the JobResult plus per-rank return values.
+/// The JobResult plus every per-rank counter a job exposes.
 struct ParallelRun {
   JobResult Result;
   std::vector<int64_t> ReturnValues;
+  std::vector<uint64_t> Steps, ValueSteps, CommCost;
+  std::vector<bool> FaultInjected;
 };
 
+/// Runs \p Src's `f(rank-independent args...)` on \p P ranks of one
+/// engine.
+ParallelRun runOn(ExecBackend Engine, const Module &M,
+                  const ModuleLayout &Layout, const vm::VmProgram &Prog,
+                  int P, const std::vector<RtValue> &Args, uint64_t Budget,
+                  const FaultPlan *PlanForRank0, uint64_t AlphaCost) {
+  MpiJob::Config Cfg;
+  Cfg.NumRanks = P;
+  Cfg.StepBudgetPerRank = Budget;
+  Cfg.AlphaCost = AlphaCost;
+  std::optional<MpiJob> Job;
+  if (Engine == ExecBackend::Vm)
+    Job.emplace(Prog, Cfg);
+  else
+    Job.emplace(Layout, Cfg);
+  EXPECT_EQ(Job->runsOnVm(), Engine == ExecBackend::Vm);
+  if (PlanForRank0)
+    Job->setFaultPlan(0, *PlanForRank0);
+  Job->start(M.getFunction("f"), [&](int) { return Args; });
+  ParallelRun R;
+  R.Result = Job->run();
+  for (int K = 0; K != P; ++K) {
+    R.ReturnValues.push_back(Job->returnValue(K).asI64());
+    R.Steps.push_back(Job->steps(K));
+    R.ValueSteps.push_back(Job->valueSteps(K));
+    R.CommCost.push_back(Job->commCost(K));
+    R.FaultInjected.push_back(Job->faultWasInjected(K));
+  }
+  return R;
+}
+
+/// Runs the job on both engines, expects every result and per-rank
+/// counter to agree, and returns the interpreter's run (every case below
+/// therefore checks both engines).
 ParallelRun runParallel(const std::string &Src, int P,
                         const std::vector<RtValue> &Args = {},
                         uint64_t Budget = UINT64_MAX,
-                        const FaultPlan *PlanForRank0 = nullptr) {
+                        const FaultPlan *PlanForRank0 = nullptr,
+                        uint64_t AlphaCost = MpiJob::Config().AlphaCost) {
   static std::unique_ptr<Module> M;
   static std::unique_ptr<ModuleLayout> Layout;
+  static std::unique_ptr<vm::VmProgram> Prog;
   static std::string LastSrc;
   if (Src != LastSrc) {
     M = compile(Src);
     Layout = std::make_unique<ModuleLayout>(*M);
+    Prog = vm::compile(*Layout);
     LastSrc = Src;
   }
-  MpiJob::Config Cfg;
-  Cfg.NumRanks = P;
-  Cfg.StepBudgetPerRank = Budget;
-  MpiJob Job(*Layout, Cfg);
-  if (PlanForRank0)
-    Job.rank(0).setFaultPlan(*PlanForRank0);
-  Job.start(M->getFunction("f"),
-            [&](ExecutionContext &, int) { return Args; });
-  ParallelRun R;
-  R.Result = Job.run();
-  for (int K = 0; K != P; ++K)
-    R.ReturnValues.push_back(Job.rank(K).returnValue().asI64());
-  return R;
+  EXPECT_NE(Prog, nullptr);
+  ParallelRun I = runOn(ExecBackend::Interp, *M, *Layout, *Prog, P, Args,
+                        Budget, PlanForRank0, AlphaCost);
+  ParallelRun V = runOn(ExecBackend::Vm, *M, *Layout, *Prog, P, Args,
+                        Budget, PlanForRank0, AlphaCost);
+  EXPECT_EQ(V.Result.Status, I.Result.Status);
+  EXPECT_EQ(V.Result.Trap, I.Result.Trap);
+  EXPECT_EQ(V.Result.FailedRank, I.Result.FailedRank);
+  EXPECT_EQ(V.Result.CriticalPathCycles, I.Result.CriticalPathCycles);
+  EXPECT_EQ(V.Result.TotalSteps, I.Result.TotalSteps);
+  EXPECT_EQ(V.Steps, I.Steps);
+  EXPECT_EQ(V.ValueSteps, I.ValueSteps);
+  EXPECT_EQ(V.CommCost, I.CommCost);
+  EXPECT_EQ(V.FaultInjected, I.FaultInjected);
+  if (I.Result.Status == RunStatus::Finished) {
+    EXPECT_EQ(V.ReturnValues, I.ReturnValues);
+  }
+  return I;
 }
 
 } // namespace
@@ -201,19 +249,12 @@ TEST(SimMpi, FaultInOneRankPropagatesAsJobFailure) {
 }
 
 TEST(SimMpi, CommCostChargedPerCollective) {
-  auto M = compile("int f() { double s = mpi_allreduce_sum_d(1.0);\n"
-                   "  return (int)s; }");
-  ModuleLayout Layout(*M);
-  MpiJob::Config Cfg;
-  Cfg.NumRanks = 2;
-  Cfg.AlphaCost = 1000;
-  MpiJob Job(Layout, Cfg);
-  Job.start(M->getFunction("f"),
-            [](ExecutionContext &, int) { return std::vector<RtValue>{}; });
-  JobResult R = Job.run();
-  EXPECT_EQ(R.Status, RunStatus::Finished);
-  EXPECT_GE(Job.rank(0).commCost(), 1000u);
-  EXPECT_GT(R.CriticalPathCycles, Job.rank(0).steps());
+  auto R = runParallel("int f() { double s = mpi_allreduce_sum_d(1.0);\n"
+                       "  return (int)s; }",
+                       2, {}, UINT64_MAX, nullptr, /*AlphaCost=*/1000);
+  EXPECT_EQ(R.Result.Status, RunStatus::Finished);
+  EXPECT_GE(R.CommCost[0], 1000u);
+  EXPECT_GT(R.Result.CriticalPathCycles, R.Steps[0]);
 }
 
 TEST(SimMpi, DeterministicAcrossRuns) {
@@ -225,4 +266,41 @@ TEST(SimMpi, DeterministicAcrossRuns) {
   auto B = runParallel(Src, 4);
   EXPECT_EQ(A.Result.TotalSteps, B.Result.TotalSteps);
   EXPECT_EQ(A.ReturnValues, B.ReturnValues);
+}
+
+// A job needs at least one rank, in every build (the check used to be an
+// assert, so a release build scheduled an empty job as "finished").
+TEST(SimMpi, RejectsFewerThanOneRank) {
+  auto M = compile("int f() { return 0; }");
+  ModuleLayout Layout(*M);
+  auto Prog = vm::compile(Layout);
+  ASSERT_NE(Prog, nullptr);
+  for (int Ranks : {0, -1}) {
+    MpiJob::Config Cfg;
+    Cfg.NumRanks = Ranks;
+    EXPECT_THROW(MpiJob(Layout, Cfg), std::invalid_argument);
+    EXPECT_THROW(MpiJob(*Prog, Cfg), std::invalid_argument);
+  }
+}
+
+// A rank blocked on something that is not a collective is an engine bug:
+// the scheduler throws instead of reporting the job as finished. Only
+// corrupted bytecode can get there, so corrupt a barrier's intrinsic.
+TEST(SimMpi, NonCollectivePendingOpIsAnError) {
+  auto M = compile("int f() { mpi_barrier(); return 0; }");
+  ModuleLayout Layout(*M);
+  auto Prog = vm::compile(Layout);
+  ASSERT_NE(Prog, nullptr);
+  bool Patched = false;
+  for (vm::VmInst &In : Prog->Code)
+    if (In.Op == vm::VmOp::IMpiBarrier) {
+      In.X = static_cast<int32_t>(Intrinsic::Sqrt);
+      Patched = true;
+    }
+  ASSERT_TRUE(Patched);
+  MpiJob::Config Cfg;
+  Cfg.NumRanks = 2;
+  MpiJob Job(*Prog, Cfg);
+  Job.start(M->getFunction("f"), [](int) { return std::vector<RtValue>{}; });
+  EXPECT_THROW(Job.run(), std::logic_error);
 }

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace ipas;
 
 namespace {
@@ -221,6 +223,86 @@ TEST(Pipeline, ScalabilitySlowdownStaysBounded) {
   // Duplication instruments computation only (§6.4): scaling up must not
   // inflate the slowdown.
   EXPECT_LT(S4, S1 * 1.25);
+}
+
+// The Figure 8 sweep runs on the configured engine; its critical-path
+// ratios must not depend on which one.
+TEST(Pipeline, ScalabilitySlowdownIsEngineIndependent) {
+  auto W = makeWorkload("IS");
+  PipelineConfig Cfg = tinyConfig();
+  std::vector<double> Sweep[2];
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    Cfg.Backend = B;
+    IpasPipeline P(*W, Cfg);
+    auto PM = P.protectAll();
+    for (int Ranks : {1, 2, 4, 8})
+      Sweep[static_cast<size_t>(B)].push_back(
+          P.scalabilitySlowdown(PM, Ranks));
+  }
+  EXPECT_EQ(Sweep[0], Sweep[1]);
+}
+
+namespace {
+
+/// A workload whose clean runs fail: its output region does not fit the
+/// heap (Trapped, OutOfMemory), or it rejects every output.
+class BrokenWorkload : public Workload {
+public:
+  explicit BrokenWorkload(bool Oversized) : Oversized(Oversized) {}
+  std::string name() const override {
+    return Oversized ? "oversized" : "rejecting";
+  }
+  std::string description() const override { return "test only"; }
+  std::string source() const override {
+    return "int run(int n, double* out) { out[0] = 1.0 * n; return 0; }";
+  }
+  std::vector<int64_t> inputParams(int) const override { return {3}; }
+  std::string inputDescription(int) const override { return "n = 3"; }
+  uint64_t outputSlots(const std::vector<int64_t> &) const override {
+    return Oversized ? 1024 : 1;
+  }
+  Memory::Config memoryConfig(const std::vector<int64_t> &) const override {
+    Memory::Config C;
+    C.HeapBytes = 4096; // 512 slots
+    return C;
+  }
+  bool verify(const std::vector<RtValue> &, const std::vector<RtValue> &,
+              const std::vector<int64_t> &) const override {
+    return false;
+  }
+
+private:
+  bool Oversized;
+};
+
+} // namespace
+
+// A failed clean run must not turn into a slowdown ratio in the shipped
+// build (the check used to be an assert): the error names the workload,
+// the rank count and what went wrong.
+TEST(Pipeline, ScalabilitySlowdownRejectsFailedCleanRun) {
+  struct Case {
+    bool Oversized;
+    const char *Expect;
+  };
+  for (const Case &C :
+       {Case{true, "clean 2-rank run of oversized trapped (heap exhausted)"},
+        Case{false, "clean 2-rank run of rejecting failed verification"}}) {
+    BrokenWorkload W(C.Oversized);
+    for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+      SCOPED_TRACE(std::string(W.name()) + " on " + backendName(B));
+      PipelineConfig Cfg = tinyConfig();
+      Cfg.Backend = B;
+      IpasPipeline P(W, Cfg);
+      try {
+        P.scalabilitySlowdown(P.protectNone(), 2);
+        ADD_FAILURE() << "no error for a failed clean run";
+      } catch (const std::runtime_error &E) {
+        EXPECT_NE(std::string(E.what()).find(C.Expect), std::string::npos)
+            << E.what();
+      }
+    }
+  }
 }
 
 TEST(Pipeline, TechniqueNames) {

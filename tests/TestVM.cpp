@@ -226,6 +226,47 @@ TEST(VmTrapParity, OutOfStepsBudget) {
   }
 }
 
+// A run is start() plus resume() calls: a budget-exhausted VM run resumes
+// with a larger budget exactly like a resumed interpreter context, with
+// the phi-group budget check and a pending fault plan carried across.
+TEST(VmTrapParity, ResumeAfterOutOfStepsMatchesInterpreter) {
+  std::unique_ptr<Module> M = compile(
+      "int f(int n) { int s = 0;\n"
+      "  for (int i = 0; i < n; i = i + 1) s = s + i * i;\n"
+      "  return s; }");
+  ASSERT_NE(M, nullptr);
+  ModuleLayout Layout(*M);
+  std::unique_ptr<vm::VmProgram> Prog = vm::compile(Layout);
+  ASSERT_NE(Prog, nullptr);
+  std::vector<RtValue> Args = {RtValue::fromI64(200)};
+  FaultPlan Plan;
+  Plan.TargetValueStep = 700;
+  Plan.BitDraw = 3;
+  const FaultPlan *const Plans[] = {nullptr, &Plan};
+  for (const FaultPlan *P : Plans) {
+    SCOPED_TRACE(P ? "faulted" : "clean");
+    ExecutionContext I(Layout);
+    if (P)
+      I.setFaultPlan(*P);
+    I.start(M->getFunction("f"), Args);
+    vm::VmContext V(*Prog);
+    V.start(Prog->indexOf("f"), Args, P);
+    for (uint64_t Budget : {uint64_t(5), uint64_t(301), uint64_t(302),
+                            uint64_t(2000), UINT64_MAX}) {
+      SCOPED_TRACE("budget " + std::to_string(Budget));
+      RunStatus SI = I.run(Budget);
+      vm::VmContext::Result RV = V.resume(Budget);
+      EXPECT_EQ(RV.Status, SI);
+      EXPECT_EQ(RV.Steps, I.steps());
+      EXPECT_EQ(RV.ValueSteps, I.valueSteps());
+      EXPECT_EQ(RV.FaultInjected, I.faultWasInjected());
+    }
+    EXPECT_EQ(V.status(), RunStatus::Finished);
+    EXPECT_EQ(V.returnValue().Bits, I.returnValue().Bits);
+    EXPECT_EQ(V.faultWasInjected(), P != nullptr);
+  }
+}
+
 TEST(VmTrapParity, FaultPlansHitTheSameSite) {
   std::unique_ptr<Module> M = compile(
       "int f(int n) { int s = 1;\n"
@@ -835,6 +876,45 @@ TEST(VmExecutor, NewLayoutAtARecycledAddressIsRecompiled) {
   }
   EXPECT_EQ(Results[0], 6);
   EXPECT_EQ(Results[1], 15);
+}
+
+// The executor runs a value-step trace on the VM (the interpreter's trace,
+// no fallback), and a trace together with a profiler on the interpreter,
+// tagged `other`: the VM runs one of the two per run.
+TEST(VmExecutor, TracesNativelyAndFallsBackWhenAlsoProfiled) {
+  std::unique_ptr<Module> M = compile(
+      "int f(int n) { int s = 0;\n"
+      "  for (int i = 0; i < n; i = i + 1) s = s + i * i;\n"
+      "  return s; }");
+  ASSERT_NE(M, nullptr);
+  ModuleLayout Layout(*M);
+  ProgramExecutor::Config Cfg;
+  Cfg.Entry = "f";
+  Cfg.Args = {RtValue::fromI64(20)};
+  std::vector<unsigned> Traces[2];
+  for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+    ProgramExecutor Exec(Cfg);
+    Exec.setBackend(B);
+    ProgramExecutor::Run R = Exec.run(Layout, nullptr, UINT64_MAX,
+                                      {.Trace = &Traces[static_cast<int>(B)]});
+    ASSERT_EQ(R.Rec.Status, RunStatus::Finished);
+    EXPECT_EQ(R.Rec.BackendUsed, B);
+    EXPECT_EQ(R.Rec.FallbackReason, nullptr);
+    EXPECT_EQ(Traces[static_cast<int>(B)].size(), R.Rec.ValueSteps);
+  }
+  EXPECT_EQ(Traces[1], Traces[0]);
+
+  ProgramExecutor Exec(Cfg);
+  Exec.setBackend(ExecBackend::Vm);
+  CostProfiler Prof(Layout, CostProfiler::Mode::Counting);
+  std::vector<unsigned> Trace;
+  ProgramExecutor::Run R = Exec.run(Layout, nullptr, UINT64_MAX,
+                                    {.Prof = &Prof, .Trace = &Trace});
+  ASSERT_EQ(R.Rec.Status, RunStatus::Finished);
+  EXPECT_EQ(R.Rec.BackendUsed, ExecBackend::Interp);
+  EXPECT_STREQ(R.Rec.FallbackReason, "other");
+  EXPECT_EQ(Trace, Traces[0]);
+  EXPECT_EQ(Prof.totalSteps(), R.Rec.Steps);
 }
 
 // A faulted pointer store far from the rest of a run's writes stretches

@@ -6,14 +6,17 @@
 
 #include "TestUtil.h"
 
+#include "analysis/SocPropagation.h"
 #include "fault/Campaign.h"
 #include "fault/FunctionHarness.h"
 #include "interp/CostProfiler.h"
 #include "obs/Metrics.h"
 #include "transform/Duplication.h"
+#include "vm/Bytecode.h"
 #include "workloads/WorkloadHarness.h"
 
 #include <cmath>
+#include <optional>
 
 using namespace ipas;
 using namespace ipas::testutil;
@@ -189,23 +192,189 @@ TEST_P(WorkloadSuite, BackendsAgreeOnCampaignsAndProfiles) {
   EXPECT_EQ(Counts[0], Counts[1]);
 }
 
-// SimMPI schedules interpreter contexts only: a multi-rank run asked to
-// use the VM runs on the interpreter and says so.
-TEST_P(WorkloadSuite, MultiRankVmRequestFallsBackWithMpiReason) {
+// A multi-rank run asked to use the VM runs its ranks on the VM, with no
+// fallback, and matches the interpreter job's counters and verdict.
+TEST_P(WorkloadSuite, MultiRankRunsOnVm) {
   auto M = compileWorkload(*W);
   ModuleLayout Layout(*M);
-  obs::Counter &Mpi =
-      obs::MetricsRegistry::global().counter("vm.fallback.mpi");
-  uint64_t Before = Mpi.value();
+  WorkloadHarness Ref(*W, 1, 4);
+  ExecutionRecord RI = Ref.execute(Layout, nullptr, UINT64_MAX);
+  ASSERT_EQ(RI.Status, RunStatus::Finished);
+  EXPECT_EQ(RI.BackendUsed, ExecBackend::Interp);
+
+  uint64_t FallbacksBefore = vmFallbackTotal();
   WorkloadHarness H(*W, 1, 4);
   H.setPreferredBackend(ExecBackend::Vm);
   ExecutionRecord R = H.execute(Layout, nullptr, UINT64_MAX);
   ASSERT_EQ(R.Status, RunStatus::Finished);
   EXPECT_TRUE(R.OutputValid);
-  EXPECT_EQ(R.BackendUsed, ExecBackend::Interp);
-  ASSERT_NE(R.FallbackReason, nullptr);
-  EXPECT_STREQ(R.FallbackReason, "mpi");
-  EXPECT_EQ(Mpi.value(), Before + 1);
+  EXPECT_EQ(R.BackendUsed, ExecBackend::Vm);
+  EXPECT_EQ(R.FallbackReason, nullptr);
+  EXPECT_EQ(vmFallbackTotal(), FallbacksBefore);
+  EXPECT_EQ(R.Steps, RI.Steps);
+  EXPECT_EQ(R.ValueSteps, RI.ValueSteps);
+  EXPECT_EQ(R.CriticalPathCycles, RI.CriticalPathCycles);
+  EXPECT_EQ(H.golden().size(), Ref.golden().size());
+  for (size_t K = 0; K != H.golden().size(); ++K)
+    EXPECT_EQ(H.golden()[K].Bits, Ref.golden()[K].Bits) << "slot " << K;
+}
+
+namespace {
+
+/// Everything a multi-rank workload job exposes, for engine comparison.
+struct WorkloadJobRun {
+  JobResult Result;
+  std::vector<uint64_t> Steps, ValueSteps, CommCost;
+  bool FaultInjected = false;
+  std::vector<uint64_t> Output0; ///< Rank 0's output bits.
+};
+
+/// Runs \p W (input level 1) as a \p Ranks-rank job on the interpreter
+/// (\p Prog null) or the VM, with \p Plan0 (may be null) on rank 0.
+WorkloadJobRun runWorkloadJob(const Workload &W, const Module &M,
+                              const ModuleLayout &Layout,
+                              const vm::VmProgram *Prog, int Ranks,
+                              uint64_t Budget, const FaultPlan *Plan0) {
+  std::vector<int64_t> Params = W.inputParams(1);
+  MpiJob::Config Cfg;
+  Cfg.NumRanks = Ranks;
+  Cfg.Rank.Mem = W.memoryConfig(Params);
+  Cfg.StepBudgetPerRank = Budget;
+  std::optional<MpiJob> Job;
+  if (Prog)
+    Job.emplace(*Prog, Cfg);
+  else
+    Job.emplace(Layout, Cfg);
+  uint64_t Slots = W.outputSlots(Params);
+  std::vector<uint64_t> Out(static_cast<size_t>(Ranks));
+  for (int R = 0; R != Ranks; ++R)
+    Out[static_cast<size_t>(R)] = Job->hostAlloc(R, Slots);
+  if (Plan0)
+    Job->setFaultPlan(0, *Plan0);
+  Job->start(M.getFunction(Workload::EntryName), [&](int R) {
+    std::vector<RtValue> Args;
+    for (int64_t P : Params)
+      Args.push_back(RtValue::fromI64(P));
+    Args.push_back(RtValue::fromPtr(Out[static_cast<size_t>(R)]));
+    return Args;
+  });
+  WorkloadJobRun Run;
+  Run.Result = Job->run();
+  for (int R = 0; R != Ranks; ++R) {
+    Run.Steps.push_back(Job->steps(R));
+    Run.ValueSteps.push_back(Job->valueSteps(R));
+    Run.CommCost.push_back(Job->commCost(R));
+  }
+  Run.FaultInjected = Job->faultWasInjected(0);
+  for (RtValue V : Job->readSlots(0, Out[0], Slots))
+    Run.Output0.push_back(V.Bits);
+  return Run;
+}
+
+} // namespace
+
+// The O5 backend differential extended to SimMPI jobs: for 2, 4 and 8
+// ranks, unprotected and fully duplicated, clean and with a fault on
+// rank 0, the VM job must be the interpreter job — JobResult, every
+// rank's steps, value steps and communication cost, and rank 0's output
+// bits.
+TEST_P(WorkloadSuite, MultiRankEnginesAgree) {
+  IPAS_SEED_TRACE(testSeed());
+  for (bool FullDup : {false, true}) {
+    auto M = compileWorkload(*W);
+    if (FullDup) {
+      duplicateAllInstructions(*M);
+      M->renumber();
+    }
+    ModuleLayout Layout(*M);
+    std::unique_ptr<vm::VmProgram> Prog = vm::compile(Layout);
+    ASSERT_NE(Prog, nullptr);
+    Rng PlanRng(testSeed() ^ (FullDup ? 0x5eedull : 0));
+    for (int Ranks : {2, 4, 8}) {
+      WorkloadJobRun Clean = runWorkloadJob(*W, *M, Layout, nullptr, Ranks,
+                                            UINT64_MAX, nullptr);
+      ASSERT_EQ(Clean.Result.Status, RunStatus::Finished);
+      std::vector<FaultPlan> Plans(2);
+      for (FaultPlan &Plan : Plans) {
+        Plan.TargetValueStep = PlanRng.nextBelow(Clean.ValueSteps[0]);
+        Plan.BitDraw = PlanRng.next();
+      }
+      uint64_t Budget = 4 * Clean.Steps[0] + 10000;
+      for (size_t K = 0; K <= Plans.size(); ++K) {
+        const FaultPlan *Plan = K ? &Plans[K - 1] : nullptr;
+        SCOPED_TRACE(std::string(FullDup ? "full-dup" : "unprotected") +
+                     " x" + std::to_string(Ranks) +
+                     (Plan ? " plan step " +
+                                 std::to_string(Plan->TargetValueStep) +
+                                 " bit " + std::to_string(Plan->BitDraw % 64)
+                           : std::string(" clean")));
+        WorkloadJobRun I = runWorkloadJob(*W, *M, Layout, nullptr, Ranks,
+                                          Plan ? Budget : UINT64_MAX, Plan);
+        WorkloadJobRun V = runWorkloadJob(*W, *M, Layout, Prog.get(), Ranks,
+                                          Plan ? Budget : UINT64_MAX, Plan);
+        EXPECT_EQ(V.Result.Status, I.Result.Status);
+        EXPECT_EQ(V.Result.Trap, I.Result.Trap);
+        EXPECT_EQ(V.Result.FailedRank, I.Result.FailedRank);
+        EXPECT_EQ(V.Result.CriticalPathCycles, I.Result.CriticalPathCycles);
+        EXPECT_EQ(V.Result.TotalSteps, I.Result.TotalSteps);
+        EXPECT_EQ(V.Steps, I.Steps);
+        EXPECT_EQ(V.ValueSteps, I.ValueSteps);
+        EXPECT_EQ(V.CommCost, I.CommCost);
+        EXPECT_EQ(V.FaultInjected, I.FaultInjected);
+        EXPECT_EQ(V.Output0, I.Output0);
+        if (!Plan) {
+          EXPECT_EQ(I.Output0, Clean.Output0);
+        }
+      }
+    }
+  }
+}
+
+// Value-step traces run natively on the VM: id for id the interpreter's,
+// with no fallback, and a pruned campaign (which maps plans to sites
+// through that trace) writes the same record stream on both engines.
+TEST_P(WorkloadSuite, VmTraceMatchesInterpreter) {
+  for (bool FullDup : {false, true}) {
+    SCOPED_TRACE(FullDup ? "full-dup" : "unprotected");
+    auto M = compileWorkload(*W);
+    if (FullDup) {
+      duplicateAllInstructions(*M);
+      M->renumber();
+    }
+    ModuleLayout Layout(*M);
+    WorkloadHarness HI(*W, 1);
+    std::vector<unsigned> TI = HI.traceValueSteps(Layout);
+    uint64_t FallbacksBefore = vmFallbackTotal();
+    WorkloadHarness HV(*W, 1);
+    HV.setPreferredBackend(ExecBackend::Vm);
+    std::vector<unsigned> TV = HV.traceValueSteps(Layout);
+    EXPECT_EQ(vmFallbackTotal(), FallbacksBefore);
+    ASSERT_FALSE(TI.empty());
+    EXPECT_EQ(TV, TI);
+
+    SocPropagation Soc(*M);
+    std::vector<CampaignResult> Results;
+    for (ExecBackend B : {ExecBackend::Interp, ExecBackend::Vm}) {
+      WorkloadHarness H(*W, 1);
+      CampaignConfig CC;
+      CC.NumRuns = 24;
+      CC.Seed = testSeed();
+      CC.Backend = B;
+      CC.ProvablyBenign = &Soc.provablyBenign();
+      Results.push_back(runCampaign(H, Layout, CC));
+    }
+    const CampaignResult &RI = Results[0], &RV = Results[1];
+    EXPECT_EQ(RV.InterpRuns, 0u);
+    EXPECT_EQ(RV.PrunedRuns, RI.PrunedRuns);
+    ASSERT_EQ(RV.Records.size(), RI.Records.size());
+    for (size_t K = 0; K != RI.Records.size(); ++K) {
+      SCOPED_TRACE("run " + std::to_string(K));
+      EXPECT_EQ(RV.Records[K].InstructionId, RI.Records[K].InstructionId);
+      EXPECT_EQ(RV.Records[K].BitIndex, RI.Records[K].BitIndex);
+      EXPECT_EQ(RV.Records[K].TargetValueStep, RI.Records[K].TargetValueStep);
+      EXPECT_EQ(RV.Records[K].Result, RI.Records[K].Result);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFive, WorkloadSuite,
@@ -374,10 +543,7 @@ TEST(Workloads, MultiRankRunRefusesFaultPlan) {
     EXPECT_EQ(R.Trap, TrapKind::BadEntry);
     EXPECT_EQ(R.Steps, 0u);
     EXPECT_FALSE(R.FaultInjected);
-    if (B == ExecBackend::Vm)
-      EXPECT_STREQ(R.FallbackReason, "mpi");
-    else
-      EXPECT_EQ(R.FallbackReason, nullptr);
+    EXPECT_EQ(R.FallbackReason, nullptr);
   }
 }
 
