@@ -14,15 +14,15 @@
 ///   --seed S            master seed
 ///   --paper-scale       the paper's campaign sizes (2500/1024/25x20/5)
 ///   --workload NAME     restrict to one workload
-/// Results of the expensive shared evaluation are cached under
-/// .ipas-cache (set IPAS_NO_CACHE=1 to disable).
+/// Each harness runs the workload's full evaluation (IpasPipeline::run)
+/// in-process and prints its own view of it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPAS_BENCH_BENCHCOMMON_H
 #define IPAS_BENCH_BENCHCOMMON_H
 
-#include "core/ResultsCache.h"
+#include "core/Pipeline.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
 #include "support/ArgParser.h"

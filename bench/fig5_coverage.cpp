@@ -24,7 +24,7 @@ int main(int Argc, char **Argv) {
   BenchReport Report("fig5_coverage", Opts);
 
   for (const auto &W : selectedWorkloads(Opts)) {
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    WorkloadEvaluation WE = IpasPipeline(*W, Opts.Cfg).run();
     const VariantEvaluation *Unprot = WE.variant("unprotected");
     double SocP = Unprot->Campaign.fraction(Outcome::SOC);
     double Margin = proportionMarginOfError(

@@ -23,7 +23,7 @@ int main(int Argc, char **Argv) {
   BenchReport Report("fig6_soc_vs_slowdown", Opts);
 
   for (const auto &W : selectedWorkloads(Opts)) {
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    WorkloadEvaluation WE = IpasPipeline(*W, Opts.Cfg).run();
     std::printf("%s\n", WE.WorkloadName.c_str());
     std::printf("  %-12s %-10s %-14s %-10s %-8s\n", "config", "slowdown",
                 "soc-reduction", "dup-frac", "f-score");

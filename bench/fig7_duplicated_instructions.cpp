@@ -25,7 +25,7 @@ int main(int Argc, char **Argv) {
   std::printf("%-10s %12s %12s %12s\n", "workload", "ipas", "baseline",
               "full");
   for (const auto &W : selectedWorkloads(Opts)) {
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    WorkloadEvaluation WE = IpasPipeline(*W, Opts.Cfg).run();
     double IpasSum = 0, BaseSum = 0, Full = 0;
     int IpasN = 0, BaseN = 0;
     for (const VariantEvaluation &V : WE.Variants) {

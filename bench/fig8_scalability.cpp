@@ -30,20 +30,15 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
 
   for (const auto &W : selectedWorkloads(Opts)) {
-    // Pull the best configuration from the (cached) evaluation, then
-    // rebuild the protected module deterministically without re-running
-    // the grid search.
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    IpasPipeline Pipeline(*W, Opts.Cfg);
+    WorkloadEvaluation WE = Pipeline.run();
     const VariantEvaluation *Best = WE.bestVariant(Technique::Ipas);
     if (!Best) {
       std::printf("%-10s (no IPAS variant)\n", W->name().c_str());
       continue;
     }
-    IpasPipeline Pipeline(*W, Opts.Cfg);
-    TrainingArtifacts A =
-        Pipeline.collectAndTrain(/*RunGridSearch=*/false);
     std::set<unsigned> Ids = Pipeline.selectInstructions(
-        Technique::Ipas, Best->Config.Params, A);
+        Technique::Ipas, Best->Config.Params, WE.Training);
     IpasPipeline::ProtectedModule PM = Pipeline.protect(Ids);
 
     std::printf("%-10s", W->name().c_str());

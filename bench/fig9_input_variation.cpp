@@ -26,15 +26,13 @@ int main(int Argc, char **Argv) {
               "input2", "input3", "input4", "average");
 
   for (const auto &W : selectedWorkloads(Opts)) {
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    IpasPipeline Pipeline(*W, Opts.Cfg);
+    WorkloadEvaluation WE = Pipeline.run();
     const VariantEvaluation *Best = WE.bestVariant(Technique::Ipas);
     if (!Best)
       continue;
-    IpasPipeline Pipeline(*W, Opts.Cfg);
-    TrainingArtifacts A =
-        Pipeline.collectAndTrain(/*RunGridSearch=*/false);
     std::set<unsigned> Ids = Pipeline.selectInstructions(
-        Technique::Ipas, Best->Config.Params, A);
+        Technique::Ipas, Best->Config.Params, WE.Training);
     IpasPipeline::ProtectedModule Prot = Pipeline.protect(Ids);
     IpasPipeline::ProtectedModule Unprot = Pipeline.protectNone();
 

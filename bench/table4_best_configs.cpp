@@ -27,7 +27,7 @@ int main(int Argc, char **Argv) {
               "----------------------------------------------------------"
               "------------");
   for (const auto &W : selectedWorkloads(Opts)) {
-    WorkloadEvaluation WE = evaluateWorkloadCached(*W, Opts.Cfg);
+    WorkloadEvaluation WE = IpasPipeline(*W, Opts.Cfg).run();
     const VariantEvaluation *BI = WE.bestVariant(Technique::Ipas);
     const VariantEvaluation *BB = WE.bestVariant(Technique::Baseline);
     if (!BI || !BB)

@@ -27,7 +27,7 @@ int main(int Argc, char **Argv) {
   auto Workloads = selectedWorkloads(Opts);
   std::vector<WorkloadEvaluation> Evals;
   for (const auto &W : Workloads) {
-    Evals.push_back(evaluateWorkloadCached(*W, Opts.Cfg));
+    Evals.push_back(IpasPipeline(*W, Opts.Cfg).run());
     std::printf("%10s", W->name().c_str());
     Report.metric(W->name() + ".train_seconds",
                   Evals.back().Training.TrainSeconds);
@@ -43,8 +43,6 @@ int main(int Argc, char **Argv) {
   std::printf("\n%-26s", "Total time (sec)");
   for (const auto &WE : Evals)
     std::printf("%10.2f", WE.Training.TrainSeconds + WE.DuplicateSeconds);
-  std::printf("\n\n(Timings come from the cached evaluation when one "
-              "exists; delete .ipas-cache\n or set IPAS_NO_CACHE=1 to "
-              "re-measure on this machine.)\n");
+  std::printf("\n");
   return 0;
 }

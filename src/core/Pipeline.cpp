@@ -388,8 +388,10 @@ TrainingArtifacts IpasPipeline::collectAndTrain(bool RunGridSearch) {
 std::set<unsigned>
 IpasPipeline::selectInstructions(Technique T, const SvmParams &P,
                                  const TrainingArtifacts &A) const {
-  assert((T == Technique::Ipas || T == Technique::Baseline) &&
-         "only classifier techniques select instructions");
+  if (T != Technique::Ipas && T != Technique::Baseline)
+    throw std::invalid_argument(
+        std::string("selectInstructions: technique '") + techniqueName(T) +
+        "' does not select instructions with a classifier");
   const Dataset &Data =
       T == Technique::Ipas ? A.IpasData : A.BaselineData;
   SvmModel Model = trainCSvc(Data, P);

@@ -150,11 +150,12 @@ public:
 
   /// Steps 2-3: fault injection, labeling, grid search. Pass
   /// \p RunGridSearch = false to skip model selection (used when the
-  /// (C, gamma) configuration is already known, e.g. from a cached
-  /// evaluation); the config lists are then left empty.
+  /// (C, gamma) configuration is already known); the config lists are
+  /// then left empty.
   TrainingArtifacts collectAndTrain(bool RunGridSearch = true);
 
   /// Step 4 for one configuration: returns the instruction ids to protect.
+  /// Throws std::invalid_argument unless \p T is Ipas or Baseline.
   std::set<unsigned> selectInstructions(Technique T, const SvmParams &P,
                                         const TrainingArtifacts &A) const;
 

@@ -53,8 +53,9 @@ Outcome ipas::classifyOutcome(const ExecutionRecord &R) {
   case RunStatus::Blocked:
     break;
   }
-  assert(false && "execution ended in a non-terminal state");
-  return Outcome::Crash;
+  throw std::logic_error(std::string("classifyOutcome: run ended in the "
+                                     "non-terminal state ") +
+                         runStatusName(R.Status));
 }
 
 namespace {

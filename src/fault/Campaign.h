@@ -118,7 +118,7 @@ struct CampaignResult {
   size_t PrunedRuns = 0;  ///< Runs classified without executing.
   size_t PrunedSites = 0; ///< Distinct benign static instructions hit.
   /// Wall-clock duration of the whole campaign, including the clean
-  /// profiling run (not serialized by the results cache).
+  /// profiling run.
   double WallSeconds = 0.0;
   /// Propagation traces of the sampled runs, in run order (empty unless
   /// CampaignConfig::PropSampleEvery was set and the harness supports
@@ -158,8 +158,7 @@ struct CampaignResult {
   size_t count(Outcome O) const {
     return Counts[static_cast<size_t>(O)];
   }
-  /// Total classified runs (equals Records.size() unless the result was
-  /// restored from a cache, which keeps only the counts).
+  /// Total classified runs (equals Records.size()).
   size_t totalRuns() const {
     size_t Total = 0;
     for (size_t C : Counts)
@@ -175,6 +174,7 @@ struct CampaignResult {
 };
 
 /// Classifies a finished/failed execution into the paper's taxonomy.
+/// Throws std::logic_error for a non-terminal (Running or Blocked) run.
 Outcome classifyOutcome(const ExecutionRecord &R);
 
 /// Runs a clean profiling run followed by \p Cfg.NumRuns injections.

@@ -13,10 +13,10 @@
 /// cross-thread serialization.
 ///
 /// Naming convention: `subsystem.noun[.qualifier]`, all lowercase —
-/// e.g. `interp.steps`, `fault.outcome.soc`, `ml.svm.iterations`,
-/// `cache.hits`. Histograms use fixed log2-scale bins (bin 0 holds the
-/// value 0; bin b>0 holds [2^(b-1), 2^b)), so no configuration is needed
-/// and merging across threads is exact.
+/// e.g. `interp.steps`, `fault.outcome.soc`, `ml.svm.iterations`.
+/// Histograms use fixed log2-scale bins (bin 0 holds the value 0; bin
+/// b>0 holds [2^(b-1), 2^b)), so no configuration is needed and merging
+/// across threads is exact.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -94,6 +94,11 @@ TEST(Campaign, ClassifyOutcomeMapping) {
   EXPECT_EQ(classifyOutcome(R), Outcome::Masked);
   R.OutputValid = false;
   EXPECT_EQ(classifyOutcome(R), Outcome::SOC);
+  // A non-terminal run has no outcome; it must not be labeled Crash.
+  for (RunStatus S : {RunStatus::Running, RunStatus::Blocked}) {
+    R.Status = S;
+    EXPECT_THROW(classifyOutcome(R), std::logic_error) << runStatusName(S);
+  }
 }
 
 TEST(Campaign, SymptomBucket) {
