@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every table/figure harness accepts the same flags:
+/// Every harness accepts the same flags:
 ///   --runs N            evaluation injections per configuration
 ///   --train-samples N   training injections
 ///   --grid N            grid points per axis (N x N configurations)
-///   --folds N           cross-validation folds
+///   --folds N           cross-validation folds (at least 2)
 ///   --top N             top-N configurations carried into evaluation
 ///   --seed S            master seed
 ///   --paper-scale       the paper's campaign sizes (2500/1024/25x20/5)
 ///   --workload NAME     restrict to one workload
-/// Each harness runs the workload's full evaluation (IpasPipeline::run)
-/// in-process and prints its own view of it.
+/// An out-of-range count exits with status 2. bench/paper runs each
+/// workload's full evaluation (IpasPipeline::run) once in-process and
+/// prints the §6 figures and tables as views of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 #define IPAS_BENCH_BENCHCOMMON_H
 
 #include "core/Pipeline.h"
+#include "obs/BinCodec.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
 #include "support/ArgParser.h"
@@ -30,6 +32,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,10 +46,14 @@ struct BenchOptions {
   std::string WorkloadFilter;
 };
 
-/// Parses the standard flag set; exits the process on --help or errors.
-inline BenchOptions parseOptions(int Argc, const char *const *Argv,
-                                 const std::string &Description) {
-  int64_t Runs = -1, TrainSamples = -1, Grid = -1, Folds = -1, Top = -1;
+/// Parses the standard flag set plus any flags \p AddFlags registers;
+/// exits the process on --help, a parse error or an out-of-range count.
+inline BenchOptions
+parseOptions(int Argc, const char *const *Argv, const std::string &Description,
+             const std::function<void(ArgParser &)> &AddFlags = nullptr) {
+  constexpr int64_t Unset = std::numeric_limits<int64_t>::min();
+  int64_t Runs = Unset, TrainSamples = Unset, Grid = Unset, Folds = Unset,
+          Top = Unset;
   int64_t Seed = -1;
   bool PaperScale = false;
   std::string WorkloadFilter;
@@ -61,23 +69,41 @@ inline BenchOptions parseOptions(int Argc, const char *const *Argv,
             "use the paper's campaign sizes (slow)");
   P.addString("workload", &WorkloadFilter,
               "restrict to one workload (CoMD/HPCCG/AMG/FFT/IS)");
+  if (AddFlags)
+    AddFlags(P);
   if (!P.parse(Argc, Argv))
     std::exit(2);
+
+  constexpr int64_t MaxCount = std::numeric_limits<unsigned>::max();
+  auto CheckRange = [](const char *Flag, int64_t V, int64_t Min) {
+    if (V != Unset && (V < Min || V > MaxCount)) {
+      std::fprintf(stderr, "error: --%s must be in [%lld, %lld], got %lld\n",
+                   Flag, static_cast<long long>(Min),
+                   static_cast<long long>(MaxCount),
+                   static_cast<long long>(V));
+      std::exit(2);
+    }
+  };
+  CheckRange("runs", Runs, 1);
+  CheckRange("train-samples", TrainSamples, 1);
+  CheckRange("grid", Grid, 1);
+  CheckRange("folds", Folds, 2);
+  CheckRange("top", Top, 1);
 
   BenchOptions Opts;
   Opts.Cfg = PaperScale ? PipelineConfig::paperScale()
                         : PipelineConfig::defaults();
-  if (Runs > 0)
+  if (Runs != Unset)
     Opts.Cfg.EvalRuns = static_cast<size_t>(Runs);
-  if (TrainSamples > 0)
+  if (TrainSamples != Unset)
     Opts.Cfg.TrainSamples = static_cast<size_t>(TrainSamples);
-  if (Grid > 0) {
+  if (Grid != Unset) {
     Opts.Cfg.Grid.CSteps = static_cast<unsigned>(Grid);
     Opts.Cfg.Grid.GammaSteps = static_cast<unsigned>(Grid);
   }
-  if (Folds > 1)
+  if (Folds != Unset)
     Opts.Cfg.Grid.Folds = static_cast<unsigned>(Folds);
-  if (Top > 0)
+  if (Top != Unset)
     Opts.Cfg.TopN = static_cast<unsigned>(Top);
   if (Seed >= 0)
     Opts.Cfg.Seed = static_cast<uint64_t>(Seed);
@@ -114,7 +140,8 @@ inline void printHeader(const std::string &Title,
 /// Machine-readable companion to the stdout tables: on destruction writes
 /// BENCH_<name>.json (benchmark name, pipeline config, the metrics
 /// recorded with metric(), and wall time) into the current directory, or
-/// $IPAS_BENCH_DIR when set. Failures are warnings — a read-only
+/// $IPAS_BENCH_DIR when set. The file is replaced atomically, so a gate
+/// never reads a half-written one. Failures are warnings — a read-only
 /// directory must not fail a benchmark run.
 class BenchReport {
 public:
@@ -160,14 +187,9 @@ public:
     if (const char *D = std::getenv("IPAS_BENCH_DIR"))
       Dir = std::string(D) + "/";
     std::string Path = Dir + "BENCH_" + Name + ".json";
-    FILE *F = std::fopen(Path.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "warning: cannot write %s\n", Path.c_str());
-      return;
-    }
-    std::fputs(W.str().c_str(), F);
-    std::fputc('\n', F);
-    std::fclose(F);
+    std::string Err;
+    if (!obs::writeFileAtomic(Path, W.str() + "\n", &Err))
+      std::fprintf(stderr, "warning: %s\n", Err.c_str());
   }
 
 private:
@@ -177,18 +199,6 @@ private:
   std::map<std::string, uint64_t> Ints;
   std::map<std::string, double> Doubles;
 };
-
-/// One row of the Figure 5 style outcome breakdown.
-inline void printOutcomeRow(const char *Label, const CampaignResult &C) {
-  std::printf("  %-12s symptom=%5.1f%%  detected=%5.1f%%  masked=%5.1f%%  "
-              "soc=%5.2f%%\n",
-              Label,
-              100.0 * (C.fraction(Outcome::Crash) +
-                       C.fraction(Outcome::Hang)),
-              100.0 * C.fraction(Outcome::Detected),
-              100.0 * C.fraction(Outcome::Masked),
-              100.0 * C.fraction(Outcome::SOC));
-}
 
 } // namespace bench
 } // namespace ipas

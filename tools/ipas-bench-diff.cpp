@@ -7,7 +7,7 @@
 /// Compares the machine-readable BENCH_<name>.json files the benchmark
 /// harnesses emit and fails loudly when a metric regresses:
 ///
-///   ipas-bench-diff old/BENCH_fig5.json new/BENCH_fig5.json
+///   ipas-bench-diff old/BENCH_paper.json new/BENCH_paper.json
 ///   ipas-bench-diff old.json new.json --threshold 10
 ///   ipas-bench-diff old.json new.json --higher-better coverage_pct
 ///
