@@ -11,10 +11,10 @@
 ///   --grid N            grid points per axis (N x N configurations)
 ///   --folds N           cross-validation folds (at least 2)
 ///   --top N             top-N configurations carried into evaluation
-///   --seed S            master seed
+///   --seed S            master seed, in [0, 2^63)
 ///   --paper-scale       the paper's campaign sizes (2500/1024/25x20/5)
 ///   --workload NAME     restrict to one workload
-/// An out-of-range count exits with status 2. bench/paper runs each
+/// An out-of-range count or seed exits with status 2. bench/paper runs each
 /// workload's full evaluation (IpasPipeline::run) once in-process and
 /// prints the §6 figures and tables as views of it.
 ///
@@ -47,14 +47,14 @@ struct BenchOptions {
 };
 
 /// Parses the standard flag set plus any flags \p AddFlags registers;
-/// exits the process on --help, a parse error or an out-of-range count.
+/// exits the process on --help, a parse error or an out-of-range count
+/// or seed.
 inline BenchOptions
 parseOptions(int Argc, const char *const *Argv, const std::string &Description,
              const std::function<void(ArgParser &)> &AddFlags = nullptr) {
   constexpr int64_t Unset = std::numeric_limits<int64_t>::min();
   int64_t Runs = Unset, TrainSamples = Unset, Grid = Unset, Folds = Unset,
-          Top = Unset;
-  int64_t Seed = -1;
+          Top = Unset, Seed = Unset;
   bool PaperScale = false;
   std::string WorkloadFilter;
 
@@ -64,7 +64,7 @@ parseOptions(int Argc, const char *const *Argv, const std::string &Description,
   P.addInt("grid", &Grid, "grid points per axis (NxN configurations)");
   P.addInt("folds", &Folds, "cross-validation folds");
   P.addInt("top", &Top, "top-N configurations to evaluate");
-  P.addInt("seed", &Seed, "master seed");
+  P.addInt("seed", &Seed, "master seed, in [0, 2^63)");
   P.addBool("paper-scale", &PaperScale,
             "use the paper's campaign sizes (slow)");
   P.addString("workload", &WorkloadFilter,
@@ -75,20 +75,23 @@ parseOptions(int Argc, const char *const *Argv, const std::string &Description,
     std::exit(2);
 
   constexpr int64_t MaxCount = std::numeric_limits<unsigned>::max();
-  auto CheckRange = [](const char *Flag, int64_t V, int64_t Min) {
-    if (V != Unset && (V < Min || V > MaxCount)) {
+  auto CheckRange = [](const char *Flag, int64_t V, int64_t Min,
+                       int64_t Max) {
+    if (V != Unset && (V < Min || V > Max)) {
       std::fprintf(stderr, "error: --%s must be in [%lld, %lld], got %lld\n",
                    Flag, static_cast<long long>(Min),
-                   static_cast<long long>(MaxCount),
-                   static_cast<long long>(V));
+                   static_cast<long long>(Max), static_cast<long long>(V));
       std::exit(2);
     }
   };
-  CheckRange("runs", Runs, 1);
-  CheckRange("train-samples", TrainSamples, 1);
-  CheckRange("grid", Grid, 1);
-  CheckRange("folds", Folds, 2);
-  CheckRange("top", Top, 1);
+  CheckRange("runs", Runs, 1, MaxCount);
+  CheckRange("train-samples", TrainSamples, 1, MaxCount);
+  CheckRange("grid", Grid, 1, MaxCount);
+  CheckRange("folds", Folds, 2, MaxCount);
+  CheckRange("top", Top, 1, MaxCount);
+  // ArgParser stores an int64_t, so seeds at or above 2^63 cannot be
+  // given.
+  CheckRange("seed", Seed, 0, std::numeric_limits<int64_t>::max());
 
   BenchOptions Opts;
   Opts.Cfg = PaperScale ? PipelineConfig::paperScale()
@@ -105,7 +108,7 @@ parseOptions(int Argc, const char *const *Argv, const std::string &Description,
     Opts.Cfg.Grid.Folds = static_cast<unsigned>(Folds);
   if (Top != Unset)
     Opts.Cfg.TopN = static_cast<unsigned>(Top);
-  if (Seed >= 0)
+  if (Seed != Unset)
     Opts.Cfg.Seed = static_cast<uint64_t>(Seed);
   Opts.WorkloadFilter = WorkloadFilter;
   return Opts;

@@ -65,6 +65,8 @@ struct FaultMetrics {
   obs::Counter &Campaigns;
   obs::Counter &Runs;
   obs::Counter &PrunedRuns;
+  obs::Counter &SkippedSteps;
+  obs::Counter &ConvergedRuns;
   obs::Counter *ByOutcome[NumOutcomes];
   obs::Histogram &RunMicros;
   obs::Gauge &RunsPerSec;
@@ -75,6 +77,8 @@ struct FaultMetrics {
         Reg.counter("fault.campaigns"),
         Reg.counter("fault.runs"),
         Reg.counter("fault.pruned_runs"),
+        Reg.counter("fault.ff.skipped_steps"),
+        Reg.counter("fault.ff.converged_runs"),
         {
             &Reg.counter("fault.outcome.crash"),
             &Reg.counter("fault.outcome.hang"),
@@ -231,7 +235,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
   // counts are re-derived from Records after the join.
   std::array<std::atomic<size_t>, NumOutcomes> LiveOutcomes{};
   std::atomic<size_t> LivePruned{0}, LiveReused{0}, LiveVm{0},
-      LiveInterp{0};
+      LiveInterp{0}, LiveConverged{0};
+  std::atomic<uint64_t> LiveSkippedSteps{0};
 
   // Heartbeat emission is shared between the timed monitor thread and
   // the final (post-join) beat; Seq orders them for consumers.
@@ -303,6 +308,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
           Us > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(Us);
       (R.BackendUsed == ExecBackend::Vm ? LiveVm : LiveInterp)
           .fetch_add(1, std::memory_order_relaxed);
+      LiveSkippedSteps.fetch_add(R.SkippedSteps, std::memory_order_relaxed);
+      LiveConverged.fetch_add(R.Converged, std::memory_order_relaxed);
       if (Stats) {
         FaultMetrics::get().RunMicros.observe(Us);
         if (TraceRuns) {
@@ -409,6 +416,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
     ++Result.Counts[static_cast<size_t>(Rec.Result)];
   Result.VmRuns = LiveVm.load(std::memory_order_relaxed);
   Result.InterpRuns = LiveInterp.load(std::memory_order_relaxed);
+  Result.SkippedSteps = LiveSkippedSteps.load(std::memory_order_relaxed);
+  Result.ConvergedRuns = LiveConverged.load(std::memory_order_relaxed);
 
   // Propagation tracing: a *serial* post-pass re-executing the sampled
   // runs under full observation, inside the campaign span (so the
@@ -470,6 +479,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
     M.Campaigns.inc();
     M.Runs.inc(NumRows);
     M.PrunedRuns.inc(Result.PrunedRuns);
+    M.SkippedSteps.inc(Result.SkippedSteps);
+    M.ConvergedRuns.inc(Result.ConvergedRuns);
     for (size_t O = 0; O != NumOutcomes; ++O)
       M.ByOutcome[O]->inc(Result.Counts[O]);
   }
@@ -479,6 +490,8 @@ CampaignResult ipas::runPlannedCampaign(ProgramHarness &Harness,
       .add("pruned", static_cast<uint64_t>(Result.PrunedRuns))
       .add("vm_runs", static_cast<uint64_t>(Result.VmRuns))
       .add("interp_runs", static_cast<uint64_t>(Result.InterpRuns))
+      .add("ff_skipped_steps", Result.SkippedSteps)
+      .add("ff_converged_runs", static_cast<uint64_t>(Result.ConvergedRuns))
       .add("seconds", Result.WallSeconds);
   for (size_t O = 0; O != NumOutcomes; ++O)
     DoneAttrs.add(outcomeName(static_cast<Outcome>(O)),

@@ -138,6 +138,11 @@ struct CampaignResult {
   /// vm.fallback.* counters.
   size_t VmRuns = 0;
   size_t InterpRuns = 0;
+  /// Sums of ExecutionRecord::SkippedSteps and Converged over the
+  /// executed runs: the clean-run steps VM injected runs did not execute
+  /// again (fault/ProgramExecutor.h). Not part of the record stream.
+  uint64_t SkippedSteps = 0;
+  size_t ConvergedRuns = 0;
   /// Heartbeat-derived throughput stats, archived by the session manifest
   /// (fault/SessionBuild.h). HeartbeatsEmitted counts every
   /// `campaign.heartbeat` event including the final one (0 when

@@ -15,6 +15,17 @@
 /// context-mode profile, or a module that does not compile). Multi-rank
 /// jobs (mpi/SimMpi.h) reuse its compiled program through vmProgram().
 ///
+/// Injected VM runs reuse the clean run. The first clean, uninstrumented
+/// VM run on a layout snapshots its state at up to 16 evenly spaced step
+/// counts (512 KiB of snapshots at most). An uninstrumented run with a
+/// fault plan then starts from the last checkpoint before its target
+/// value step, since until that step it is the clean run, and once its
+/// fault has fired it compares its state with each later checkpoint it
+/// reaches: an equal state continues exactly as the clean run did, so
+/// the run ends there with the clean run's final record. Records are
+/// those of a full execution, bit for bit; only ExecutionRecord::
+/// SkippedSteps and Converged tell the difference.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPAS_FAULT_PROGRAMEXECUTOR_H
@@ -87,20 +98,45 @@ public:
   /// refuses (a fault plan or instrument on a multi-rank run).
   static ExecutionRecord failedRun(TrapKind Trap);
 
+  /// Where a clean-run checkpoint stands.
+  struct CheckpointMark {
+    uint64_t Steps = 0;
+    uint64_t ValueSteps = 0;
+  };
+  /// The checkpoints injected VM runs start from, in step order; empty
+  /// until a clean, uninstrumented VM run on the current layout finished.
+  std::vector<CheckpointMark> checkpoints();
+
 private:
+  struct CleanRun;
+  /// A pooled context lent to one VM run, with the clean run an injected
+  /// run fast-forwards from, or the order to capture it.
+  struct VmLease {
+    std::unique_ptr<vm::VmContext> Ctx;
+    std::shared_ptr<const CleanRun> Clean;
+    bool Capture = false;
+  };
+
   Run runInterp(const ModuleLayout &Layout, const Function *Entry,
                 const FaultPlan *Plan, uint64_t StepBudget,
                 const Instruments &With);
-  Run runVm(std::unique_ptr<vm::VmContext> Ctx, const Function *Entry,
-            const FaultPlan *Plan, uint64_t StepBudget,
-            const Instruments &With);
+  Run runVm(VmLease L, const Function *Entry, const FaultPlan *Plan,
+            uint64_t StepBudget, const Instruments &With);
+  /// An injected run from the clean run's checkpoints (see the file
+  /// comment); \p Ctx has been start()ed under \p Plan.
+  Run runFromCheckpoints(vm::VmContext &Ctx, const CleanRun &Clean,
+                         const FaultPlan &Plan, uint64_t StepBudget,
+                         uint64_t OutPtr) const;
+  /// The record, return value and output of the run \p Ctx stopped.
+  Run vmRun(const vm::VmContext &Ctx, uint64_t OutPtr) const;
   /// Compiles \p Layout on first use (recompiling when the layout
-  /// changes); null when the module does not compile to bytecode.
-  /// Callers hold VmMutex.
+  /// changes, which drops the pool and the checkpoints); null when the
+  /// module does not compile to bytecode. Callers hold VmMutex.
   const vm::VmProgram *compiled(const ModuleLayout &Layout);
-  /// Lends out a pooled context for \p Layout's program; null when the
-  /// module does not compile to bytecode.
-  std::unique_ptr<vm::VmContext> acquireVm(const ModuleLayout &Layout);
+  /// Lends out a pooled context for \p Layout's program; its Ctx is null
+  /// when the module does not compile to bytecode.
+  VmLease acquireVm(const ModuleLayout &Layout, const FaultPlan *Plan,
+                    const Instruments &With);
 
   const Config Cfg;
   ExecBackend Backend = ExecBackend::Interp;
@@ -109,6 +145,10 @@ private:
   std::unique_ptr<vm::VmProgram> VmProg;
   uint32_t VmEntryIndex = 0;
   std::vector<std::unique_ptr<vm::VmContext>> VmPool;
+  /// VmProg's clean run, shared read-only by every injected run.
+  std::shared_ptr<const CleanRun> Clean;
+  /// True while a run is capturing Clean.
+  bool Capturing = false;
 };
 
 } // namespace ipas

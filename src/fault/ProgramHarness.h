@@ -51,6 +51,14 @@ struct ExecutionRecord {
   /// interpreter. Null on native VM runs and when the interpreter was
   /// the requested backend.
   const char *FallbackReason = nullptr;
+  /// Steps a VM injected run did not execute: the clean-run checkpoint it
+  /// fast-forwarded from, plus the clean run's remainder when it
+  /// converged (fault/ProgramExecutor.h). Telemetry only; the run's
+  /// other fields are what a full execution yields.
+  uint64_t SkippedSteps = 0;
+  /// True when the run's state reconverged with the clean run's and it
+  /// ended with the clean run's final record.
+  bool Converged = false;
 };
 
 /// Bumps the vm.fallback.<Reason> counter in the global MetricsRegistry

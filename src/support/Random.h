@@ -89,6 +89,9 @@ public:
   /// injection run its own stream while keeping the campaign reproducible.
   Rng split() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
+  /// Equal states draw equal streams.
+  bool operator==(const Rng &) const = default;
+
   /// Fisher-Yates shuffles \p N elements through \p Swap(I, J) callbacks.
   template <typename SwapFn> void shuffle(size_t N, SwapFn Swap) {
     for (size_t I = N; I > 1; --I) {

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <new>
+#include <stdexcept>
 
 #include <sys/mman.h>
 #include <unistd.h>
@@ -117,6 +118,43 @@ void VmArena::reset() {
   HeapPtr = HeapBase;
 }
 
+VmArena::Snapshot VmArena::snapshot() const {
+  Snapshot S;
+  S.StackPtr = StackPtr;
+  S.StackHigh = StackHigh;
+  S.HeapPtr = HeapPtr;
+  S.DirtyLo = DirtyLo;
+  S.DirtyHi = DirtyHi;
+  if (DirtyLo < DirtyHi)
+    S.Bytes.assign(Data + DirtyLo, Data + DirtyHi);
+  return S;
+}
+
+void VmArena::restore(const Snapshot &S) {
+  reset();
+  std::copy(S.Bytes.begin(), S.Bytes.end(), Data + S.DirtyLo);
+  StackPtr = S.StackPtr;
+  StackHigh = S.StackHigh;
+  HeapPtr = S.HeapPtr;
+  DirtyLo = S.DirtyLo;
+  DirtyHi = S.DirtyHi;
+}
+
+bool VmArena::sameBytes(const Snapshot &S) const {
+  // Outside both spans every byte is zero on either side; inside the
+  // snapshot's, memcmp stops at the first difference.
+  auto AllZero = [&](uint64_t Lo, uint64_t Hi) {
+    return Lo >= Hi ||
+           (Data[Lo] == 0 && std::memcmp(Data + Lo, Data + Lo + 1,
+                                         Hi - Lo - 1) == 0);
+  };
+  if (!S.Bytes.empty() &&
+      std::memcmp(Data + S.DirtyLo, S.Bytes.data(), S.Bytes.size()) != 0)
+    return false;
+  return AllZero(DirtyLo, std::min(DirtyHi, S.DirtyLo)) &&
+         AllZero(std::max(DirtyLo, S.DirtyHi), DirtyHi);
+}
+
 uint64_t VmContext::hostAlloc(uint64_t Slots) {
   if (!HostAllocated) {
     Arena.reset();
@@ -138,10 +176,17 @@ void VmContext::start(uint32_t FnIndex, const std::vector<RtValue> &Args,
   HostAllocated = false;
   WorkloadRng.reseed(Cfg.WorkloadRngSeed);
   Frames.clear();
+  Plan = RunPlan ? *RunPlan : FaultPlan();
+  St = Result();
+  Pending = PendingMpi();
 
-  assert(FnIndex < P.Functions.size() && "bad entry function index");
+  if (FnIndex >= P.Functions.size() ||
+      P.Functions[FnIndex].NumArgs != Args.size()) {
+    St.Status = RunStatus::Trapped;
+    St.Trap = TrapKind::BadEntry;
+    return;
+  }
   const VmFunction &Entry = P.Functions[FnIndex];
-  assert(Entry.NumArgs == Args.size() && "entry argument count mismatch");
   if (RegStack.size() < Entry.regsTotal())
     RegStack.resize(Entry.regsTotal());
   // Register files are not cleared between runs: the IR verifier
@@ -156,12 +201,62 @@ void VmContext::start(uint32_t FnIndex, const std::vector<RtValue> &Args,
   F.Fn = &Entry;
   F.SavedStackPtr = Arena.stackPointer();
   Frames.push_back(F);
-
-  Plan = RunPlan ? *RunPlan : FaultPlan();
-  St = Result();
   St.Status = RunStatus::Running;
   ResumePC = Entry.CodeStart;
+}
+
+size_t VmContext::liveRegisters() const {
+  return Frames.empty()
+             ? 0
+             : Frames.back().RegBase + Frames.back().Fn->regsTotal();
+}
+
+VmContext::Checkpoint VmContext::checkpoint() const {
+  Checkpoint C;
+  C.Prog = &P;
+  C.Mem = Arena.snapshot();
+  C.Regs.assign(RegStack.begin(), RegStack.begin() + liveRegisters());
+  C.Frames = Frames;
+  C.ResumePC = ResumePC;
+  C.WorkloadRng = WorkloadRng;
+  C.St = St;
+  return C;
+}
+
+size_t VmContext::checkpointBytes() const {
+  return Arena.dirtyBytes() + liveRegisters() * sizeof(uint64_t) +
+         Frames.size() * sizeof(VmFrame);
+}
+
+void VmContext::restore(const Checkpoint &C) {
+  if (C.Prog != &P)
+    throw std::logic_error(
+        "VmContext::restore: checkpoint captured on another program");
+  Arena.restore(C.Mem);
+  HostAllocated = false;
+  if (RegStack.size() < C.Regs.size())
+    RegStack.resize(C.Regs.size());
+  std::copy(C.Regs.begin(), C.Regs.end(), RegStack.begin());
+  std::fill(RegStack.begin() + C.Regs.size(), RegStack.end(), 0);
+  Frames = C.Frames;
+  ResumePC = C.ResumePC;
+  WorkloadRng = C.WorkloadRng;
+  St = C.St;
   Pending = PendingMpi();
+}
+
+bool VmContext::matches(const Checkpoint &C) const {
+  if (ResumePC != C.ResumePC || St.Steps != C.St.Steps ||
+      St.ValueSteps != C.St.ValueSteps || St.Status != C.St.Status ||
+      Frames != C.Frames || !Arena.sameAllocators(C.Mem) ||
+      WorkloadRng != C.WorkloadRng)
+    return false;
+  // Equal frames mean equal live extents.
+  if (!C.Regs.empty() &&
+      std::memcmp(RegStack.data(), C.Regs.data(),
+                  C.Regs.size() * sizeof(uint64_t)) != 0)
+    return false;
+  return Arena.sameBytes(C.Mem);
 }
 
 void VmContext::completePendingCall(RtValue Value) {
@@ -289,6 +384,8 @@ VmContext::Result VmContext::run(uint32_t FnIndex,
   assert((Cfg.NumRanks <= 1 || (!Trace && !Prof)) &&
          "profiles and traces are single-rank");
   start(FnIndex, Args, Plan);
+  if (St.Status != RunStatus::Running)
+    return St; // a bad entry
   // Dispatch to a dedicated instantiation so the unprofiled hot path
   // carries zero profiling code (bench/vm_speedup gates that), and the
   // counting-only path carries no hash-fold code (bench/

@@ -116,6 +116,28 @@ public:
     DirtyHi = std::max(DirtyHi, Addr + 8);
   }
 
+  /// The allocators, the dirty span and the bytes inside it: all a run
+  /// has changed since reset(), since every byte outside the span is zero.
+  struct Snapshot {
+    uint64_t StackPtr = 0, StackHigh = 0, HeapPtr = 0;
+    uint64_t DirtyLo = 0, DirtyHi = 0;
+    std::vector<uint8_t> Bytes; ///< [DirtyLo, DirtyHi); empty if Lo >= Hi.
+  };
+  Snapshot snapshot() const;
+  /// reset(), then the snapshot's allocators, span and bytes.
+  void restore(const Snapshot &S);
+  /// Bytes snapshot() would copy.
+  size_t dirtyBytes() const {
+    return DirtyLo < DirtyHi ? DirtyHi - DirtyLo : 0;
+  }
+  /// True when the allocation pointers equal the snapshot's.
+  bool sameAllocators(const Snapshot &S) const {
+    return StackPtr == S.StackPtr && HeapPtr == S.HeapPtr;
+  }
+  /// True when every byte equals the snapshot's: memcmp over its span,
+  /// and zero wherever this arena's span reaches beyond it.
+  bool sameBytes(const Snapshot &S) const;
+
 private:
   /// Zeroes [Lo, Hi) by memsetting its partial head and tail pages and
   /// releasing the page-aligned interior with madvise(MADV_DONTNEED),
@@ -148,6 +170,17 @@ private:
 /// ExecutionContext's multi-rank contract, step for step. With one rank
 /// the collectives are the interpreter's inline single-rank identities.
 class VmContext {
+  struct VmFrame {
+    const VmFunction *Fn = nullptr;
+    uint32_t RegBase = 0;
+    uint32_t RetPC = 0;
+    uint32_t CallId = 0;
+    uint16_t RetReg = kNoReg;
+    uint8_t RetWidth = 0;
+    uint64_t SavedStackPtr = 0;
+    bool operator==(const VmFrame &) const = default;
+  };
+
 public:
   struct Config {
     Memory::Config Mem;
@@ -167,6 +200,35 @@ public:
     unsigned FaultedInstructionId = 0;
   };
 
+  /// The full state of a single-rank run between resume() calls: the
+  /// arena snapshot, the live registers [0, top frame's RegBase +
+  /// regsTotal), the frames, the resume PC, the workload RNG and the
+  /// status and counters. Everything else a context holds is either
+  /// rewritten before it is read (registers above the live extent, by
+  /// the dominance argument in start()) or belongs to the run, not the
+  /// program's state (the fault plan). Immutable once taken, so one
+  /// checkpoint can be restored by many threads at once.
+  class Checkpoint {
+  public:
+    uint64_t steps() const { return St.Steps; }
+    uint64_t valueSteps() const { return St.ValueSteps; }
+    /// Heap bytes the snapshot holds.
+    size_t bytes() const {
+      return Mem.Bytes.size() + Regs.size() * sizeof(uint64_t) +
+             Frames.size() * sizeof(VmFrame);
+    }
+
+  private:
+    friend class VmContext;
+    const VmProgram *Prog = nullptr;
+    VmArena::Snapshot Mem;
+    std::vector<uint64_t> Regs;
+    std::vector<VmFrame> Frames;
+    uint32_t ResumePC = 0;
+    Rng WorkloadRng;
+    Result St;
+  };
+
   VmContext(const VmProgram &P, const Config &Cfg);
   explicit VmContext(const VmProgram &P) : VmContext(P, Config()) {}
 
@@ -175,8 +237,30 @@ public:
   /// Prepares function \p FnIndex on \p Args under \p Plan (null =
   /// clean): resets the arena (unless hostAlloc() just did), the workload
   /// RNG, the frames and every counter. Nothing executes until resume().
+  /// An entry index out of range or an argument count the entry does not
+  /// take leaves the run Trapped with TrapKind::BadEntry, in every build.
   void start(uint32_t FnIndex, const std::vector<RtValue> &Args,
              const FaultPlan *Plan);
+
+  /// Captures the run's state; the context must be single-rank and
+  /// stopped between resume() calls (or right after start()).
+  Checkpoint checkpoint() const;
+  /// What checkpoint().bytes() would be now, without the copy.
+  size_t checkpointBytes() const;
+
+  /// Puts the run back into \p C's state, keeping the fault plan start()
+  /// set: the arena is reset first (stray bytes of the previous run
+  /// included) and registers above the live extent are zeroed, so what
+  /// follows depends only on \p C and the plan. Throws std::logic_error
+  /// if \p C was captured on another VmProgram, in every build.
+  void restore(const Checkpoint &C);
+
+  /// True when the run's state equals \p C's: then the rest of the run
+  /// is the one \p C continues into (a fault plan whose target step has
+  /// passed never fires again). Compares the cheap fields first (PC,
+  /// counters, frames, allocators, RNG), then the live registers, then
+  /// the arena bytes, so a diverged run usually fails fast.
+  bool matches(const Checkpoint &C) const;
 
   /// Executes from where the context stopped until it finishes, traps,
   /// detects, blocks on a collective, or its *cumulative* step count
@@ -230,6 +314,7 @@ public:
   uint64_t valueSteps() const { return St.ValueSteps; }
   RtValue returnValue() const { return St.ReturnValue; }
   bool faultWasInjected() const { return St.FaultInjected; }
+  unsigned faultedInstructionId() const { return St.FaultedInstructionId; }
 
   // Multi-rank MPI interface (used by the SimMPI scheduler).
   int rank() const { return Cfg.Rank; }
@@ -261,6 +346,9 @@ private:
   template <int Mode>
   Result runImpl(uint64_t MaxSteps, const ProfileHook *Prof,
                  std::vector<unsigned> *Trace);
+  /// The live register extent: the top frame's registers and every
+  /// frame's below them.
+  size_t liveRegisters() const;
   /// Records the collective \p In (operands in register file \p R) as
   /// the pending operation.
   void suspendAt(const VmInst &In, const uint64_t *R);
@@ -273,15 +361,6 @@ private:
   /// and the call-depth trap, which fire before the step is counted).
   void reconstructCounts(uint64_t *SiteCounts, uint32_t ExitPc,
                          bool ExitCounted) const;
-  struct VmFrame {
-    const VmFunction *Fn = nullptr;
-    uint32_t RegBase = 0;
-    uint32_t RetPC = 0;
-    uint32_t CallId = 0;
-    uint16_t RetReg = kNoReg;
-    uint8_t RetWidth = 0;
-    uint64_t SavedStackPtr = 0;
-  };
 
   const VmProgram &P;
   Config Cfg;
