@@ -15,38 +15,91 @@
 #include "support/ParallelFor.h"
 #include "support/Statistics.h"
 
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 using namespace ipas;
 
 namespace {
 
+/// The classifier data set of a classifier-guided technique.
+const Dataset &labelsFor(Technique T, const TrainingArtifacts &A) {
+  return T == Technique::Ipas ? A.IpasData : A.BaselineData;
+}
+
+/// The instruction ids technique \p T protects under classifier \p Model.
+std::set<unsigned> selectWith(Technique T, const SvmModel &Model,
+                              const TrainingArtifacts &A) {
+  std::set<unsigned> Ids;
+  for (unsigned Id = 0; Id != A.Features.size(); ++Id) {
+    const FeatureVector &FV = A.Features[Id];
+    int Pred = Model.predict(
+        A.Scaler.transform(std::vector<double>(FV.begin(), FV.end())));
+    // IPAS protects predicted SOC-generating instructions; the baseline
+    // (Shoestring policy) protects predicted NON-symptom-generating ones.
+    bool Protect = T == Technique::Ipas ? Pred > 0 : Pred < 0;
+    if (Protect)
+      Ids.insert(Id);
+  }
+  return Ids;
+}
+
+/// An evaluation campaign of \p PM on \p Harness with \p Threads workers.
+/// \p Trace, when set, is the clean run's value-step trace for pruning.
+CampaignResult evaluationCampaign(ProgramHarness &Harness,
+                                  const PipelineConfig &Cfg,
+                                  const IpasPipeline::ProtectedModule &PM,
+                                  uint64_t Seed, const std::string &Label,
+                                  unsigned Threads,
+                                  const std::vector<unsigned> *Trace) {
+  CampaignConfig CC;
+  CC.NumRuns = Cfg.EvalRuns;
+  CC.HangFactor = Cfg.HangFactor;
+  CC.Seed = Seed;
+  CC.Label = Label;
+  CC.NumThreads = Threads;
+  CC.Backend = Cfg.Backend;
+  CC.PropSampleEvery = Cfg.PropSampleEvery;
+  if (!Cfg.InterproceduralAnalysis)
+    return runCampaign(Harness, *PM.Layout, CC);
+  // Summary-aware pruning: sites the interprocedural analysis proves
+  // benign are recorded as Masked without executing. The analysis must
+  // outlive the campaign — ProvablyBenign borrows its flag vector.
+  CallGraph CG(*PM.M);
+  ModuleSummaries Summaries(*PM.M, CG);
+  SocPropagation Soc(*PM.M, Summaries);
+  CC.ProvablyBenign = &Soc.provablyBenign();
+  CC.ValueStepTrace = Trace;
+  return runCampaign(Harness, *PM.Layout, CC);
+}
+
 /// Writes the .iprec provenance record for one evaluated variant into
-/// Cfg.RecordDir. Classifier columns (score, prediction) are attached by
-/// exploiting the duplication layout: shadows and checks are inserted
-/// after their originals and renumber() preserves order, so the k-th
-/// non-shadow, non-check instruction of the protected module corresponds
-/// to unprotected instruction id k. When that correspondence does not
-/// hold (counts differ), the columns are left empty rather than guessed.
+/// Cfg.RecordDir. \p StepTrace is the variant's clean value-step trace.
+/// Classifier columns (score, prediction) come from \p Model, the
+/// classifier that selected the variant, by exploiting the duplication
+/// layout: shadows and checks are inserted after their originals and
+/// renumber() preserves order, so the k-th non-shadow, non-check
+/// instruction of the protected module corresponds to unprotected
+/// instruction id k. When there is no model or that correspondence does
+/// not hold (counts differ), the columns are left empty rather than
+/// guessed.
 void writeVariantRecord(const Workload &W, const PipelineConfig &Cfg,
                         const IpasPipeline::ProtectedModule &PM,
                         const VariantEvaluation &V,
-                        const TrainingArtifacts &A, uint64_t Seed) {
+                        const TrainingArtifacts &A, const SvmModel *Model,
+                        const std::vector<unsigned> &StepTrace,
+                        uint64_t Seed) {
   std::vector<Instruction *> Insts = PM.M->allInstructions();
 
   std::vector<double> Scores;
   std::vector<int> Predictions;
-  bool WantClassifier =
-      V.Tech == Technique::Ipas || V.Tech == Technique::Baseline;
-  if (WantClassifier) {
+  if (Model) {
     size_t NumOriginal = 0;
     for (const Instruction *I : Insts)
       if (I->dupRole() != DupRole::Shadow && I->dupRole() != DupRole::Check)
         ++NumOriginal;
     if (NumOriginal == A.Features.size()) {
-      const Dataset &Data =
-          V.Tech == Technique::Ipas ? A.IpasData : A.BaselineData;
-      SvmModel Model = trainCSvc(Data, V.Config.Params);
       Scores.resize(Insts.size(), 0.0);
       Predictions.resize(Insts.size(), 0);
       size_t K = 0;
@@ -57,22 +110,21 @@ void writeVariantRecord(const Workload &W, const PipelineConfig &Cfg,
         const FeatureVector &FV = A.Features[K++];
         std::vector<double> X =
             A.Scaler.transform(std::vector<double>(FV.begin(), FV.end()));
-        Scores[I->id()] = Model.decision(X);
-        Predictions[I->id()] = Model.predict(X);
+        Scores[I->id()] = Model->decision(X);
+        Predictions[I->id()] = Model->predict(X);
       }
     }
   }
 
-  WorkloadHarness Harness(W, Cfg.InputLevel);
-  Harness.setPreferredBackend(Cfg.Backend);
-  std::vector<unsigned> StepTrace = Harness.traceValueSteps(*PM.Layout);
-
   FeatureExtractor Extractor;
-  std::vector<std::vector<double>> Rows = Extractor.extractModuleRows(*PM.M);
   std::vector<double> Flat;
-  Flat.reserve(Rows.size() * Extractor.numFeatures());
-  for (const std::vector<double> &Row : Rows)
-    Flat.insert(Flat.end(), Row.begin(), Row.end());
+  {
+    std::vector<std::vector<double>> Rows =
+        Extractor.extractModuleRows(*PM.M);
+    Flat.reserve(Rows.size() * Extractor.numFeatures());
+    for (const std::vector<double> &Row : Rows)
+      Flat.insert(Flat.end(), Row.begin(), Row.end());
+  }
 
   RecordBuildInputs In;
   In.M = PM.M.get();
@@ -88,30 +140,49 @@ void writeVariantRecord(const Workload &W, const PipelineConfig &Cfg,
     In.Scores = &Scores;
     In.Predictions = &Predictions;
   }
+  // The store copies the features; free them (and the rows above, by
+  // scope) before serializing, which keeps this worker's peak low.
+  obs::RecordStore Store = buildRecordStore(In);
+  Flat = std::vector<double>();
 
   std::string Path = Cfg.RecordDir + "/" + W.name() + "-" + V.Label +
                      ".iprec";
   std::string Err;
-  if (!writeCampaignRecord(buildRecordStore(In), Path, &Err))
+  if (!writeCampaignRecord(Store, Path, &Err))
     std::fprintf(stderr, "warning: cannot write record store: %s\n",
                  Err.c_str());
 }
 
+/// The unprotected build's counting profile, against which every
+/// variant's profile attributes its protection overhead. Both use the
+/// standard cost model, so one profile serves every variant of a run.
+struct BaseProfile {
+  IpasPipeline::ProtectedModule PM;
+  std::vector<uint64_t> Counts; ///< Empty when the clean run failed.
+};
+
+BaseProfile profileUnprotected(const IpasPipeline &P) {
+  BaseProfile Base;
+  Base.PM = P.protectNone();
+  WorkloadHarness Harness(P.workload(), P.config().InputLevel);
+  Harness.setPreferredBackend(P.config().Backend);
+  CostProfiler Prof(*Base.PM.Layout, CostProfiler::Mode::Counting);
+  ExecutionRecord R =
+      Harness.run(*Base.PM.Layout, nullptr, UINT64_MAX, {.Prof = &Prof});
+  if (R.Status == RunStatus::Finished && R.OutputValid)
+    Base.Counts = Prof.flatCounts();
+  return Base;
+}
+
 /// Writes the .ipprof cost profile for one evaluated variant into
-/// Cfg.ProfileDir: a counting-mode profiled clean run of the variant,
-/// with per-site protection overhead attributed against a freshly
-/// compiled unprotected build profiled on the same input. All runs are
-/// serial and happen after the variant's campaign, so the record stream
-/// is untouched.
+/// Cfg.ProfileDir: a counting-mode profiled clean run of the variant on
+/// \p Harness (which ran its campaign), with per-site protection overhead
+/// attributed against \p Base. The run happens after the variant's
+/// campaign, so the record stream is untouched.
 void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
-                         const IpasPipeline &P,
+                         ProgramHarness &Harness,
                          const IpasPipeline::ProtectedModule &PM,
-                         const std::string &Label) {
-  WorkloadHarness Harness(W, Cfg.InputLevel);
-  // Counting-mode profiling runs natively on either backend, so the
-  // profiled clean runs honor the pipeline's backend choice the same
-  // way its campaigns do.
-  Harness.setPreferredBackend(Cfg.Backend);
+                         const BaseProfile &Base, const std::string &Label) {
   CostProfiler Prof(*PM.Layout, CostProfiler::Mode::Counting);
   ProfileBuildInputs In;
   In.EntryFunction = Workload::EntryName;
@@ -126,16 +197,9 @@ void writeVariantProfile(const Workload &W, const PipelineConfig &Cfg,
     return;
   }
 
-  IpasPipeline::ProtectedModule Base = P.protectNone();
-  WorkloadHarness BaseHarness(W, Cfg.InputLevel);
-  BaseHarness.setPreferredBackend(Cfg.Backend);
-  CostProfiler BaseProf(*Base.Layout, CostProfiler::Mode::Counting,
-                        Prof.model());
-  ExecutionRecord R = BaseHarness.run(*Base.Layout, nullptr, UINT64_MAX,
-                                      {.Prof = &BaseProf});
-  if (R.Status == RunStatus::Finished && R.OutputValid) {
-    if (!attributeOverhead(*Base.M, BaseProf.flatCounts(), *PM.M,
-                           Prof.flatCounts(), Prof.model(), S, &Err))
+  if (!Base.Counts.empty()) {
+    if (!attributeOverhead(*Base.PM.M, Base.Counts, *PM.M, Prof.flatCounts(),
+                           Prof.model(), S, &Err))
       obs::logMessage(obs::Severity::Warn,
                       "%s: overhead attribution failed: %s", Label.c_str(),
                       Err.c_str());
@@ -303,24 +367,8 @@ CampaignResult IpasPipeline::evaluate(const ProtectedModule &PM,
                                       uint64_t Seed, int InputLevel,
                                       const std::string &Label) const {
   WorkloadHarness Harness(W, InputLevel ? InputLevel : Cfg.InputLevel);
-  CampaignConfig CC;
-  CC.NumRuns = Cfg.EvalRuns;
-  CC.HangFactor = Cfg.HangFactor;
-  CC.Seed = Seed;
-  CC.Label = Label;
-  CC.NumThreads = campaignWorkers();
-  CC.Backend = Cfg.Backend;
-  CC.PropSampleEvery = Cfg.PropSampleEvery;
-  if (!Cfg.InterproceduralAnalysis)
-    return runCampaign(Harness, *PM.Layout, CC);
-  // Summary-aware pruning: sites the interprocedural analysis proves
-  // benign are recorded as Masked without executing. The analysis must
-  // outlive the campaign — ProvablyBenign borrows its flag vector.
-  CallGraph CG(*PM.M);
-  ModuleSummaries Summaries(*PM.M, CG);
-  SocPropagation Soc(*PM.M, Summaries);
-  CC.ProvablyBenign = &Soc.provablyBenign();
-  return runCampaign(Harness, *PM.Layout, CC);
+  return evaluationCampaign(Harness, Cfg, PM, Seed, Label, campaignWorkers(),
+                            nullptr);
 }
 
 TrainingArtifacts IpasPipeline::collectAndTrain(bool RunGridSearch) {
@@ -392,22 +440,7 @@ IpasPipeline::selectInstructions(Technique T, const SvmParams &P,
     throw std::invalid_argument(
         std::string("selectInstructions: technique '") + techniqueName(T) +
         "' does not select instructions with a classifier");
-  const Dataset &Data =
-      T == Technique::Ipas ? A.IpasData : A.BaselineData;
-  SvmModel Model = trainCSvc(Data, P);
-
-  std::set<unsigned> Ids;
-  for (unsigned Id = 0; Id != A.Features.size(); ++Id) {
-    const FeatureVector &FV = A.Features[Id];
-    int Pred = Model.predict(
-        A.Scaler.transform(std::vector<double>(FV.begin(), FV.end())));
-    // IPAS protects predicted SOC-generating instructions; the baseline
-    // (Shoestring policy) protects predicted NON-symptom-generating ones.
-    bool Protect = T == Technique::Ipas ? Pred > 0 : Pred < 0;
-    if (Protect)
-      Ids.insert(Id);
-  }
-  return Ids;
+  return selectWith(T, trainCSvc(labelsFor(T, A), P), A);
 }
 
 WorkloadEvaluation IpasPipeline::run() {
@@ -434,73 +467,132 @@ WorkloadEvaluation IpasPipeline::run() {
 
   obs::PhaseSpan Evaluation("pipeline.evaluation");
 
-  // Reference variants.
-  ProtectedModule Unprot = protectNone();
-  CampaignResult UnprotCampaign =
-      evaluate(Unprot, Cfg.Seed ^ 0xE0, 0, "unprotected");
-  double UnprotSoc = UnprotCampaign.fraction(Outcome::SOC);
-  double UnprotCleanSteps =
-      static_cast<double>(UnprotCampaign.CleanSteps);
+  // Every variant's protected module is built here, in the fixed variant
+  // order, before any campaign runs.
+  struct Pending {
+    VariantEvaluation V;
+    ProtectedModule PM;
+    std::optional<SvmModel> Model; ///< The classifier that selected PM.
+    uint64_t CampaignSeed = 0;
+    uint64_t StoreSeed = 0; ///< The seed the variant's stores record.
+  };
+  std::vector<Pending> Jobs;
+  auto Add = [&](std::string Label, Technique T, const RankedConfig &RC,
+                 ProtectedModule PM, std::optional<SvmModel> Model,
+                 uint64_t CampaignSeed, uint64_t StoreSeed) {
+    Pending &J = Jobs.emplace_back();
+    J.V.Label = std::move(Label);
+    J.V.Tech = T;
+    J.V.Config = RC;
+    J.V.Dup = PM.Stats;
+    J.PM = std::move(PM);
+    J.Model = std::move(Model);
+    J.CampaignSeed = CampaignSeed;
+    J.StoreSeed = StoreSeed;
+  };
+  Add("unprotected", Technique::Unprotected, RankedConfig(), protectNone(),
+      std::nullopt, Cfg.Seed ^ 0xE0, 0);
+  Add("full", Technique::FullDup, RankedConfig(), protectAll(), std::nullopt,
+      Cfg.Seed ^ 0xE1, Cfg.Seed ^ 0xE1);
 
-  auto MakeVariant = [&](std::string Label, Technique T,
-                         const RankedConfig &RC, ProtectedModule PM,
-                         uint64_t Seed) {
+  // Classification + duplication time (Table 6) covers only the model
+  // application and the transform, not the evaluation campaigns (which in
+  // the paper run as separate parallel fault-injection jobs).
+  auto AddClassified = [&](std::string Label, Technique T,
+                           const RankedConfig &RC, uint64_t Seed) {
+    obs::PhaseSpan Span("pipeline.protect",
+                        obs::AttrSet().add("technique", techniqueName(T)));
+    SvmModel Model = trainCSvc(labelsFor(T, WE.Training), RC.Params);
+    ProtectedModule PM = protect(selectWith(T, Model, WE.Training));
+    WE.DuplicateSeconds += Span.seconds();
+    Add(std::move(Label), T, RC, std::move(PM), std::move(Model), Seed,
+        Seed);
+  };
+  for (unsigned K = 0; K != WE.Training.IpasConfigs.size(); ++K)
+    AddClassified("ipas-" + std::to_string(K + 1), Technique::Ipas,
+                  WE.Training.IpasConfigs[K], Cfg.Seed ^ (0x100 + K));
+  for (unsigned K = 0; K != WE.Training.BaselineConfigs.size(); ++K)
+    AddClassified("baseline-" + std::to_string(K + 1), Technique::Baseline,
+                  WE.Training.BaselineConfigs[K], Cfg.Seed ^ (0x200 + K));
+
+  std::optional<BaseProfile> Base;
+  if (!Cfg.ProfileDir.empty())
+    Base = profileUnprotected(*this);
+
+  // A variant's clean value-step trace (4 bytes per value step) is its
+  // largest buffer. Tasks trace into buffers reserved here, on the
+  // calling thread, one per worker and handed from task to task: a trace
+  // grown and freed on a worker thread would stay resident in that
+  // thread's malloc arena. A shadow runs exactly when its original does,
+  // so no variant has more than twice the unprotected run's value steps.
+  bool NeedTrace = Cfg.InterproceduralAnalysis || !Cfg.RecordDir.empty();
+  unsigned Workers = campaignWorkers();
+  std::mutex TracesMu;
+  std::vector<std::vector<unsigned>> Traces(
+      NeedTrace ? std::min<size_t>(Workers, Jobs.size()) : 0);
+  for (std::vector<unsigned> &T : Traces)
+    T.reserve(2 * WE.Training.Campaign.CleanValueSteps);
+
+  // The variants are the paper's separate fault-injection jobs: each
+  // worker of the campaign pool evaluates whole variants, one campaign
+  // thread each, so the phase keeps as many threads busy as one threaded
+  // campaign would. A variant's harness and stores are freed when its
+  // task ends.
+  parallelFor(Jobs.size(), Workers, [&](size_t K) {
+    Pending &J = Jobs[K];
+    VariantEvaluation &V = J.V;
     obs::PhaseSpan Span("pipeline.variant",
                         obs::AttrSet()
-                            .add("label", Label)
-                            .add("technique", techniqueName(T)));
-    VariantEvaluation V;
-    V.Label = std::move(Label);
-    V.Tech = T;
-    V.Config = RC;
-    V.Dup = PM.Stats;
-    V.Campaign = T == Technique::Unprotected
-                     ? UnprotCampaign
-                     : evaluate(PM, Seed, 0, V.Label);
+                            .add("label", V.Label)
+                            .add("technique", techniqueName(V.Tech)),
+                        Evaluation);
+    WorkloadHarness Harness(W, Cfg.InputLevel);
+    Harness.setPreferredBackend(Cfg.Backend);
+    // One clean value-step trace feeds both the pruning and the record.
+    std::vector<unsigned> Trace;
+    if (NeedTrace) {
+      {
+        std::lock_guard<std::mutex> Lock(TracesMu);
+        Trace = std::move(Traces.back());
+        Traces.pop_back();
+      }
+      if (Harness.run(*J.PM.Layout, nullptr, UINT64_MAX, {.Trace = &Trace})
+              .Status != RunStatus::Finished)
+        Trace.clear();
+    }
+    V.Campaign = evaluationCampaign(Harness, Cfg, J.PM, J.CampaignSeed,
+                                    V.Label, 1, &Trace);
+    Span.addAttr(obs::AttrSet()
+                     .add("clean_steps", V.Campaign.CleanSteps)
+                     .add("soc_rate", V.Campaign.fraction(Outcome::SOC)));
+    if (!Cfg.RecordDir.empty())
+      writeVariantRecord(W, Cfg, J.PM, V, WE.Training,
+                         J.Model ? &*J.Model : nullptr, Trace, J.StoreSeed);
+    if (Base)
+      writeVariantProfile(W, Cfg, Harness, J.PM, *Base, V.Label);
+    if (!Cfg.SessionDir.empty())
+      writeVariantSession(W, Cfg, J.PM, V, J.StoreSeed);
+    if (NeedTrace) {
+      Trace.clear();
+      std::lock_guard<std::mutex> Lock(TracesMu);
+      Traces.push_back(std::move(Trace));
+    }
+  });
+
+  // Slowdown and SOC reduction are relative to the unprotected campaign.
+  const CampaignResult &Unprot = Jobs.front().V.Campaign;
+  double UnprotSoc = Unprot.fraction(Outcome::SOC);
+  double UnprotCleanSteps = static_cast<double>(Unprot.CleanSteps);
+  for (Pending &J : Jobs) {
+    VariantEvaluation &V = J.V;
     V.Slowdown = static_cast<double>(V.Campaign.CleanSteps) /
                  UnprotCleanSteps;
     double Soc = V.Campaign.fraction(Outcome::SOC);
     V.SocReductionPct =
         UnprotSoc > 0.0 ? 100.0 * (UnprotSoc - Soc) / UnprotSoc : 0.0;
-    Span.addAttr(obs::AttrSet()
-                     .add("slowdown", V.Slowdown)
-                     .add("soc_reduction_pct", V.SocReductionPct));
-    if (!Cfg.RecordDir.empty())
-      writeVariantRecord(W, Cfg, PM, V, WE.Training, Seed);
-    if (!Cfg.ProfileDir.empty())
-      writeVariantProfile(W, Cfg, *this, PM, V.Label);
-    if (!Cfg.SessionDir.empty())
-      writeVariantSession(W, Cfg, PM, V, Seed);
-    WE.Variants.push_back(std::move(V));
-  };
-
-  MakeVariant("unprotected", Technique::Unprotected, RankedConfig(),
-              std::move(Unprot), 0);
-  MakeVariant("full", Technique::FullDup, RankedConfig(), protectAll(),
-              Cfg.Seed ^ 0xE1);
-
-  // Classification + duplication time (Table 6) covers only the model
-  // application and the transform, not the evaluation campaigns (which in
-  // the paper run as separate parallel fault-injection jobs).
-  auto TimedProtect = [&](Technique T, const RankedConfig &RC) {
-    obs::PhaseSpan Span("pipeline.protect",
-                        obs::AttrSet().add("technique", techniqueName(T)));
-    std::set<unsigned> Ids = selectInstructions(T, RC.Params, WE.Training);
-    ProtectedModule PM = protect(Ids);
-    WE.DuplicateSeconds += Span.seconds();
-    return PM;
-  };
-  for (unsigned K = 0; K != WE.Training.IpasConfigs.size(); ++K) {
-    const RankedConfig &RC = WE.Training.IpasConfigs[K];
-    MakeVariant("ipas-" + std::to_string(K + 1), Technique::Ipas, RC,
-                TimedProtect(Technique::Ipas, RC), Cfg.Seed ^ (0x100 + K));
   }
-  for (unsigned K = 0; K != WE.Training.BaselineConfigs.size(); ++K) {
-    const RankedConfig &RC = WE.Training.BaselineConfigs[K];
-    MakeVariant("baseline-" + std::to_string(K + 1), Technique::Baseline,
-                RC, TimedProtect(Technique::Baseline, RC),
-                Cfg.Seed ^ (0x200 + K));
-  }
+  for (Pending &J : Jobs)
+    WE.Variants.push_back(std::move(J.V));
   obs::TraceSink::event(
       "pipeline.done",
       obs::AttrSet()

@@ -56,11 +56,12 @@ struct PipelineConfig {
   std::string RecordDir;
   /// When non-empty, every evaluated variant also writes a .ipprof cost
   /// profile into this directory (one file per variant, named
-  /// <workload>-<label>.ipprof) for ipas-profile: one additional serial
-  /// profiled clean run per variant, with protection overhead attributed
-  /// per original site against a fresh unprotected build. Profiling never
-  /// perturbs the campaign record streams. The directory must already
-  /// exist. See docs/OBSERVABILITY.md.
+  /// <workload>-<label>.ipprof) for ipas-profile: one additional
+  /// profiled clean run per variant after its campaign, with protection
+  /// overhead attributed per original site against the unprotected
+  /// build, profiled once per run. Profiling never perturbs the campaign
+  /// record streams. The directory must already exist. See
+  /// docs/OBSERVABILITY.md.
   std::string ProfileDir;
   /// When non-empty, every evaluated variant also writes a .ipses
   /// session manifest into this directory (one file per variant, named

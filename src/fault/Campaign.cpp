@@ -110,9 +110,14 @@ CampaignRows ipas::planSampledRows(ProgramHarness &Harness,
   // Injection-site pruning: a clean traced run maps each dynamic value
   // step to its static instruction.
   if (Cfg.ProvablyBenign) {
-    std::vector<unsigned> Trace = Harness.traceValueSteps(Layout);
-    if (Trace.size() == Clean.ValueSteps)
-      pruneBenignRows(*Cfg.ProvablyBenign, Trace, Rows);
+    std::vector<unsigned> Traced;
+    const std::vector<unsigned> *Trace = Cfg.ValueStepTrace;
+    if (!Trace) {
+      Traced = Harness.traceValueSteps(Layout);
+      Trace = &Traced;
+    }
+    if (Trace->size() == Clean.ValueSteps)
+      pruneBenignRows(*Cfg.ProvablyBenign, *Trace, Rows);
   }
   return Rows;
 }

@@ -51,6 +51,10 @@ struct CampaignConfig {
   /// bit-identical. Requires a harness whose traceValueSteps() yields a
   /// full trace; null (or a harness that cannot trace) disables pruning.
   const std::vector<bool> *ProvablyBenign = nullptr;
+  /// The clean run's value-step trace (ProgramHarness::traceValueSteps on
+  /// the campaign's harness and layout), when the caller already has it:
+  /// pruning then reads it instead of tracing again. Null means trace.
+  const std::vector<unsigned> *ValueStepTrace = nullptr;
   /// Telemetry label carried on every trace record and progress line —
   /// drivers pass the technique/variant name (empty means "campaign").
   /// Together with Seed and ProvablyBenign it is recorded in the

@@ -270,7 +270,7 @@ void ipas::obs::logMessage(Severity S, const char *Fmt, ...) {
 namespace {
 struct ThreadSpanState {
   int Tid = -1;
-  std::vector<const std::string *> Stack; ///< Open span names, outermost first.
+  std::vector<const PhaseSpan *> Stack; ///< Open spans, outermost first.
 };
 } // namespace
 
@@ -283,20 +283,31 @@ static ThreadSpanState &threadSpans() {
   return TlSpans;
 }
 
+static const PhaseSpan *innermostSpan() {
+  ThreadSpanState &TS = threadSpans();
+  return TS.Stack.empty() ? nullptr : TS.Stack.back();
+}
+
 PhaseSpan::PhaseSpan(std::string N, AttrSet A)
+    : PhaseSpan(std::move(N), std::move(A), innermostSpan()) {}
+
+PhaseSpan::PhaseSpan(std::string N, AttrSet A, const PhaseSpan &P)
+    : PhaseSpan(std::move(N), std::move(A), &P) {}
+
+PhaseSpan::PhaseSpan(std::string N, AttrSet A, const PhaseSpan *P)
     : Name(std::move(N)), Attrs(std::move(A)),
       StartUs(monotonicMicros()) {
   ThreadSpanState &TS = threadSpans();
   Tid = TS.Tid;
-  if (!TS.Stack.empty())
-    Parent = *TS.Stack.back();
-  Depth = static_cast<unsigned>(TS.Stack.size()) + 1;
-  TS.Stack.push_back(&Name);
+  if (P)
+    Parent = P->Name;
+  Depth = P ? P->Depth + 1 : 1;
+  TS.Stack.push_back(this);
 }
 
 PhaseSpan::~PhaseSpan() {
   ThreadSpanState &TS = threadSpans();
-  assert(!TS.Stack.empty() && TS.Stack.back() == &Name &&
+  assert(!TS.Stack.empty() && TS.Stack.back() == this &&
          "phase spans must close in LIFO order on their own thread");
   TS.Stack.pop_back();
   if (!TraceSink::enabled())

@@ -147,6 +147,11 @@ class PhaseSpan {
 public:
   explicit PhaseSpan(std::string Name) : PhaseSpan(std::move(Name), AttrSet()) {}
   PhaseSpan(std::string Name, AttrSet Attrs);
+  /// Opens a span whose parent is \p Parent, which may be open on another
+  /// thread: a worker of a parallel loop names the phase that started the
+  /// loop. Spans opened later on this thread nest under this one as usual.
+  /// Only \p Parent's name and depth are read, and only here.
+  PhaseSpan(std::string Name, AttrSet Attrs, const PhaseSpan &Parent);
   ~PhaseSpan();
 
   PhaseSpan(const PhaseSpan &) = delete;
@@ -158,6 +163,8 @@ public:
   double seconds() const;
 
 private:
+  PhaseSpan(std::string Name, AttrSet Attrs, const PhaseSpan *Parent);
+
   std::string Name;
   AttrSet Attrs;
   std::string Parent;

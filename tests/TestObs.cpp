@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -419,6 +420,10 @@ TEST(ObsTrace, CampaignReproducibleFromTrace) {
 
 TEST(ObsTrace, PipelinePhaseSpansCoverRun) {
   std::string Path = tempTracePath("obs_trace_pipeline.jsonl");
+  // Variant profiles add profile.* spans, which run on the worker that
+  // evaluates the variant.
+  std::string ProfileDir = tempTracePath("obs_trace_pipeline_profiles");
+  std::filesystem::create_directories(ProfileDir);
   ASSERT_TRUE(TraceSink::open(Path));
   {
     auto W = makeWorkload("IS");
@@ -431,6 +436,7 @@ TEST(ObsTrace, PipelinePhaseSpansCoverRun) {
     Cfg.TopN = 2;
     Cfg.Seed = 0xBEEF;
     Cfg.PropSampleEvery = 32; // Exercise the tracer path's spans too.
+    Cfg.ProfileDir = ProfileDir;
     IpasPipeline P(*W, Cfg);
     WorkloadEvaluation WE = P.run();
     EXPECT_GE(WE.Variants.size(), 4u);
@@ -466,9 +472,46 @@ TEST(ObsTrace, PipelinePhaseSpansCoverRun) {
   // Training's child phases and per-variant spans are present too.
   EXPECT_NE(findSpan(Records, "training.campaign"), nullptr);
   EXPECT_NE(findSpan(Records, "training.grid_search"), nullptr);
-  const JsonValue *Variant = findSpan(Records, "pipeline.variant");
-  ASSERT_NE(Variant, nullptr);
-  EXPECT_EQ(Variant->get("parent")->asString(), "pipeline.evaluation");
+  // Variants are evaluated on the campaign worker pool, yet every
+  // variant span names the evaluation phase as its parent and sits one
+  // level below it, whichever thread ran it.
+  const JsonValue *Evaluation = findSpan(Records, "pipeline.evaluation");
+  ASSERT_NE(Evaluation, nullptr);
+  int64_t VariantDepth = Evaluation->get("depth")->asI64() + 1;
+  std::vector<const JsonValue *> Variants;
+  for (const JsonValue &R : Records)
+    if (recordType(R) == "span" && R.get("name")->asString() ==
+                                       "pipeline.variant")
+      Variants.push_back(&R);
+  EXPECT_GE(Variants.size(), 4u);
+  for (const JsonValue *V : Variants) {
+    ASSERT_NE(V->get("parent"), nullptr);
+    EXPECT_EQ(V->get("parent")->asString(), "pipeline.evaluation");
+    EXPECT_EQ(V->get("depth")->asI64(), VariantDepth);
+    EXPECT_GE(V->get("start_us")->asU64(),
+              Evaluation->get("start_us")->asU64());
+    EXPECT_LE(V->get("end_us")->asU64(), Evaluation->get("end_us")->asU64());
+  }
+
+  // Every profile.* span lies inside a pipeline.variant span on its own
+  // thread, the rule `ipas-report --check` enforces.
+  size_t ProfileSpans = 0;
+  for (const JsonValue &R : Records) {
+    if (recordType(R) != "span" ||
+        R.get("name")->asString().rfind("profile.", 0) != 0)
+      continue;
+    ++ProfileSpans;
+    ASSERT_NE(R.get("parent"), nullptr);
+    EXPECT_EQ(R.get("parent")->asString(), "pipeline.variant");
+    bool Inside = false;
+    for (const JsonValue *V : Variants)
+      Inside |= V->get("tid")->asI64() == R.get("tid")->asI64() &&
+                V->get("start_us")->asU64() <= R.get("start_us")->asU64() &&
+                R.get("end_us")->asU64() <= V->get("end_us")->asU64();
+    EXPECT_TRUE(Inside) << "profile span at " << R.get("start_us")->asU64()
+                        << " is outside every variant span on its thread";
+  }
+  EXPECT_EQ(ProfileSpans, Variants.size());
 
   // Begin/done markers for the run as a whole.
   EXPECT_NE(findEvent(Records, "pipeline.begin"), nullptr);
@@ -489,4 +532,5 @@ TEST(ObsTrace, PipelinePhaseSpansCoverRun) {
   }
   EXPECT_GT(PropSpans, 0u);
   std::remove(Path.c_str());
+  std::filesystem::remove_all(ProfileDir);
 }

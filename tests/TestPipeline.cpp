@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Pipeline.h"
+#include "analysis/FunctionSummary.h"
 #include "obs/RecordStore.h"
 #include "support/ParallelFor.h"
 #include "support/Statistics.h"
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 
 using namespace ipas;
@@ -115,6 +117,78 @@ TEST(Pipeline, ThreadedCampaignsMatchSerialRecordForRecord) {
   uint64_t EvalSeed = Cfg.Seed ^ 0xE0;
   ExpectSame(P.evaluate(Unprot, EvalSeed, 0, "unprotected"),
              Serial(Cfg.EvalRuns, EvalSeed), "unprotected");
+}
+
+// run() evaluates its variants concurrently, one single-threaded campaign
+// per variant, with pruning fed by the trace that also feeds the record
+// store. Every variant must still match a serial runCampaign of the same
+// protected module, seed and pruning analysis, pruned rows included.
+TEST(Pipeline, ConcurrentEvaluationMatchesSerialCampaigns) {
+  auto W = makeWorkload("IS");
+  PipelineConfig Cfg = tinyConfig();
+  ASSERT_EQ(Cfg.TopN, 2u);
+  Cfg.InterproceduralAnalysis = true;
+  Cfg.RecordDir = ::testing::TempDir() + "concurrent_eval";
+  std::filesystem::create_directories(Cfg.RecordDir);
+  IpasPipeline P(*W, Cfg);
+  WorkloadEvaluation WE = P.run();
+  ASSERT_EQ(WE.Variants.size(), 2u + WE.Training.IpasConfigs.size() +
+                                    WE.Training.BaselineConfigs.size());
+
+  auto Rebuild = [&](const VariantEvaluation &V) {
+    switch (V.Tech) {
+    case Technique::Unprotected:
+      return P.protectNone();
+    case Technique::FullDup:
+      return P.protectAll();
+    default:
+      return P.protect(
+          P.selectInstructions(V.Tech, V.Config.Params, WE.Training));
+    }
+  };
+  auto SeedOf = [&](const VariantEvaluation &V) -> uint64_t {
+    if (V.Tech == Technique::Unprotected)
+      return Cfg.Seed ^ 0xE0;
+    if (V.Tech == Technique::FullDup)
+      return Cfg.Seed ^ 0xE1;
+    uint64_t K = std::stoul(V.Label.substr(V.Label.find('-') + 1)) - 1;
+    return Cfg.Seed ^ ((V.Tech == Technique::Ipas ? 0x100 : 0x200) + K);
+  };
+  size_t Pruned = 0;
+  for (const VariantEvaluation &V : WE.Variants) {
+    IpasPipeline::ProtectedModule PM = Rebuild(V);
+    EXPECT_EQ(PM.Stats.DuplicatedInstructions, V.Dup.DuplicatedInstructions)
+        << V.Label;
+    WorkloadHarness Harness(*W, Cfg.InputLevel);
+    CampaignConfig CC;
+    CC.NumRuns = Cfg.EvalRuns;
+    CC.HangFactor = Cfg.HangFactor;
+    CC.Seed = SeedOf(V);
+    CC.Backend = Cfg.Backend;
+    CC.NumThreads = 1;
+    CallGraph CG(*PM.M);
+    ModuleSummaries Summaries(*PM.M, CG);
+    SocPropagation Soc(*PM.M, Summaries);
+    CC.ProvablyBenign = &Soc.provablyBenign();
+    CampaignResult Ref = runCampaign(Harness, *PM.Layout, CC);
+
+    const CampaignResult &C = V.Campaign;
+    EXPECT_EQ(C.Threads, 1u) << V.Label;
+    ASSERT_EQ(C.Records.size(), Ref.Records.size()) << V.Label;
+    for (size_t I = 0; I != Ref.Records.size(); ++I) {
+      const InjectionRecord &A = C.Records[I], &B = Ref.Records[I];
+      EXPECT_EQ(A.InstructionId, B.InstructionId) << V.Label << " " << I;
+      EXPECT_EQ(A.BitIndex, B.BitIndex) << V.Label << " " << I;
+      EXPECT_EQ(A.TargetValueStep, B.TargetValueStep) << V.Label << " " << I;
+      EXPECT_EQ(A.Result, B.Result) << V.Label << " " << I;
+    }
+    EXPECT_EQ(C.Counts, Ref.Counts) << V.Label;
+    EXPECT_EQ(C.CleanSteps, Ref.CleanSteps) << V.Label;
+    EXPECT_EQ(C.PrunedRuns, Ref.PrunedRuns) << V.Label;
+    Pruned += C.PrunedRuns;
+  }
+  EXPECT_GT(Pruned, 0u);
+  std::filesystem::remove_all(Cfg.RecordDir);
 }
 
 TEST(Pipeline, SelectInstructionsDiffersByTechnique) {
