@@ -473,13 +473,12 @@ WorkloadEvaluation IpasPipeline::run() {
     VariantEvaluation V;
     ProtectedModule PM;
     std::optional<SvmModel> Model; ///< The classifier that selected PM.
-    uint64_t CampaignSeed = 0;
-    uint64_t StoreSeed = 0; ///< The seed the variant's stores record.
+    uint64_t CampaignSeed = 0; ///< Also the seed its stores record.
   };
   std::vector<Pending> Jobs;
   auto Add = [&](std::string Label, Technique T, const RankedConfig &RC,
                  ProtectedModule PM, std::optional<SvmModel> Model,
-                 uint64_t CampaignSeed, uint64_t StoreSeed) {
+                 uint64_t CampaignSeed) {
     Pending &J = Jobs.emplace_back();
     J.V.Label = std::move(Label);
     J.V.Tech = T;
@@ -488,12 +487,11 @@ WorkloadEvaluation IpasPipeline::run() {
     J.PM = std::move(PM);
     J.Model = std::move(Model);
     J.CampaignSeed = CampaignSeed;
-    J.StoreSeed = StoreSeed;
   };
   Add("unprotected", Technique::Unprotected, RankedConfig(), protectNone(),
-      std::nullopt, Cfg.Seed ^ 0xE0, 0);
+      std::nullopt, Cfg.Seed ^ 0xE0);
   Add("full", Technique::FullDup, RankedConfig(), protectAll(), std::nullopt,
-      Cfg.Seed ^ 0xE1, Cfg.Seed ^ 0xE1);
+      Cfg.Seed ^ 0xE1);
 
   // Classification + duplication time (Table 6) covers only the model
   // application and the transform, not the evaluation campaigns (which in
@@ -505,8 +503,7 @@ WorkloadEvaluation IpasPipeline::run() {
     SvmModel Model = trainCSvc(labelsFor(T, WE.Training), RC.Params);
     ProtectedModule PM = protect(selectWith(T, Model, WE.Training));
     WE.DuplicateSeconds += Span.seconds();
-    Add(std::move(Label), T, RC, std::move(PM), std::move(Model), Seed,
-        Seed);
+    Add(std::move(Label), T, RC, std::move(PM), std::move(Model), Seed);
   };
   for (unsigned K = 0; K != WE.Training.IpasConfigs.size(); ++K)
     AddClassified("ipas-" + std::to_string(K + 1), Technique::Ipas,
@@ -567,11 +564,12 @@ WorkloadEvaluation IpasPipeline::run() {
                      .add("soc_rate", V.Campaign.fraction(Outcome::SOC)));
     if (!Cfg.RecordDir.empty())
       writeVariantRecord(W, Cfg, J.PM, V, WE.Training,
-                         J.Model ? &*J.Model : nullptr, Trace, J.StoreSeed);
+                         J.Model ? &*J.Model : nullptr, Trace,
+                         J.CampaignSeed);
     if (Base)
       writeVariantProfile(W, Cfg, Harness, J.PM, *Base, V.Label);
     if (!Cfg.SessionDir.empty())
-      writeVariantSession(W, Cfg, J.PM, V, J.StoreSeed);
+      writeVariantSession(W, Cfg, J.PM, V, J.CampaignSeed);
     if (NeedTrace) {
       Trace.clear();
       std::lock_guard<std::mutex> Lock(TracesMu);

@@ -154,8 +154,8 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
   Rng FoldRng(Cfg.Seed ^ 0x9e37);
   std::vector<Fold> Split = stratifiedFolds(D, Cfg.Folds, FoldRng);
 
-  // One unit per (gamma, fold) on the worker pool: the fold's kernel and
-  // one regularization path over every C (solveCSvcPath, exact per C).
+  // One unit per (gamma, fold) on the worker pool: one regularization
+  // path over every C (solveCSvcPath, exact per C).
   // A unit writes only its own slots, and a configuration sums its slots
   // in fold order, so the ranking is the serial one whatever the thread
   // count or schedule. The path needs ascending Cs; Order maps them back.
@@ -181,8 +181,7 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
     const size_t GI = U / NumFolds, F = U % NumFolds;
     const Fold &Fo = Split[F];
     std::vector<SvmModel> Path =
-        solveCSvcPath(Fo.Train, rbfKernelMatrix(Fo.Train.X, Gammas[GI]),
-                      Params(GI, 0), PathCs);
+        solveCSvcPath(Fo.Train, Params(GI, 0), PathCs);
     for (size_t K = 0; K != Order.size(); ++K)
       Slots[(GI * Cs.size() + Order[K]) * NumFolds + F].add(Path[K],
                                                             Fo.Test);

@@ -64,45 +64,33 @@ private:
   double FinalObjective = 0.0;
 };
 
-/// Trains on \p D (features should be pre-scaled). Equivalent to
-/// solveCSvc(D, rbfKernelMatrix(D.X, P.Gamma), P).
+/// Trains on \p D (features should be pre-scaled): solveCSvcPath(D, P,
+/// {P.C}).
 SvmModel trainCSvc(const Dataset &D, const SvmParams &P);
 
-/// The N x N row-major kernel matrix of \p X in float: entry (I, J) is
-/// rbfKernel(X[min(I, J)], X[max(I, J)], Gamma), the diagonal exactly 1.
-std::vector<float> rbfKernelMatrix(const std::vector<std::vector<double>> &X,
-                                   double Gamma);
-
-/// The solver behind trainCSvc: trains on \p D given its kernel matrix
-/// \p K, rbfKernelMatrix(D.X, P.Gamma). If D's rows are a subset of a
-/// larger dataset's, kept in order, the matching rows and columns of that
-/// dataset's matrix are the same bits. Counts every fit under `ml.svm.*`
-/// and may run on any thread. The same as solveCSvcPath(D, K, P, {P.C}).
-///
-/// Checked in every build: an empty \p D, a \p K that is not
-/// D.size() x D.size(), or a C that is not positive throws
-/// std::invalid_argument. A \p D with one class only has nothing to
-/// separate and gives the constant classifier: no support vectors, 0
-/// iterations, objective 0, and bias -inf if every label is -1, +inf if
-/// every label is +1, so it predicts that label everywhere.
-SvmModel solveCSvc(const Dataset &D, const std::vector<float> &K,
-                   const SvmParams &P);
-
-/// solveCSvc at each C in \p Cs (ascending; P.C is ignored): returns one
-/// model per entry, each bit-identical to solveCSvc with that C, its
+/// Fits \p D at each C in \p Cs (ascending; P.C is ignored) and returns
+/// one model per entry, each bit-identical to trainCSvc with that C, its
 /// iterations, objective, bias and support vectors included. C enters SMO
 /// only through the box 0 <= alpha_i <= C (C * w+ for positives), so one
 /// run at the largest C is also every smaller C's run up to the first
 /// iteration where a value it clamps reaches the smaller box; each smaller
 /// C resumes from there, and one that never gets there is the largest C's
-/// fit. Counts each model under `ml.svm.trainings`/`ml.svm.iterations` as
-/// solveCSvc would, and the iterations it took over from the path instead
-/// of running under `ml.svm.shared_iterations`. Throws
-/// std::invalid_argument as solveCSvc does, and if \p Cs is empty or not
-/// ascending.
-std::vector<SvmModel> solveCSvcPath(const Dataset &D,
-                                    const std::vector<float> &K,
-                                    const SvmParams &P,
+/// fit. SMO runs over groups of rows with bitwise-equal features and the
+/// same label, which take the same steps as their rows would one by one.
+/// Counts each model under `ml.svm.trainings`/`ml.svm.iterations`, the
+/// iterations it took over from the path instead of running under
+/// `ml.svm.shared_iterations`, and a run that stopped at P.MaxIterations
+/// under `ml.svm.capped_fits`. May run on any thread.
+///
+/// Checked in every build: an empty \p D, one whose labels do not match
+/// its rows in number, whose rows differ in width, or that holds a label
+/// other than +1/-1 or a non-finite feature, a non-finite P.Gamma, and
+/// a \p Cs that is empty, not ascending or not positive throw
+/// std::invalid_argument. A \p D with one class only has nothing to
+/// separate and gives the constant classifier: no support vectors, 0
+/// iterations, objective 0, and bias -inf if every label is -1, +inf if
+/// every label is +1, so it predicts that label everywhere.
+std::vector<SvmModel> solveCSvcPath(const Dataset &D, const SvmParams &P,
                                     const std::vector<double> &Cs);
 
 /// RBF kernel exp(-gamma * ||A - B||^2).

@@ -58,6 +58,40 @@ Dataset makeLattice(size_t N, size_t Positives, Rng &R) {
   return D;
 }
 
+/// \p D with row I repeated 3 + I % 3 times, the copies dealt round
+/// after round so that no two copies of a row are adjacent.
+Dataset repeatRows(const Dataset &D) {
+  Dataset Out;
+  for (size_t Rep = 0; Rep != 5; ++Rep)
+    for (size_t I = 0; I != D.size(); ++I)
+      if (Rep < 3 + I % 3)
+        Out.add(D.X[I], D.Y[I]);
+  return Out;
+}
+
+/// \p D plus a copy of every third row with the opposite label.
+Dataset withConflicts(Dataset D) {
+  const size_t N = D.size();
+  for (size_t I = 0; I < N; I += 3)
+    D.add(D.X[I], -D.Y[I]);
+  return D;
+}
+
+/// Noisy diagonal split on a 3x3 lattice over {-1, 0, 1}; a row with a
+/// 0.0 coordinate is followed by a twin with -0.0 there, same label.
+Dataset makeSignedZeros(size_t N, Rng &R) {
+  Dataset D;
+  for (size_t I = 0; I != N; ++I) {
+    double A = static_cast<double>(R.nextBelow(3)) - 1.0;
+    double B = static_cast<double>(R.nextBelow(3)) - 1.0;
+    int Label = A + B + R.nextDoubleIn(-0.9, 0.9) > 0.0 ? 1 : -1;
+    D.add({A, B}, Label);
+    if (A == 0.0 || B == 0.0)
+      D.add({A == 0.0 ? -0.0 : A, B == 0.0 ? -0.0 : B}, Label);
+  }
+  return D;
+}
+
 } // namespace
 
 TEST(Scaler, MapsToUnitRangeAndHandlesConstants) {
@@ -185,7 +219,7 @@ TEST(Svm, PinnedSolutions) {
     P.MaxIterations = MaxIterations;
     return P;
   };
-  Rng R1(1), R2(2), R6(6), R11(11);
+  Rng R1(1), R2(2), R6(6), R11(11), R21(21), R22(22), R23(23), R24(24);
   std::vector<Case> Cases = {
       {"blobs", makeBlobs(40, R1), Params(10.0, 0.5), 21,
        -2.1507586559569178, 0.050572582044924319, 8},
@@ -196,6 +230,19 @@ TEST(Svm, PinnedSolutions) {
        -10.020718453775268, 5.5195746962898407e-19, 22},
       {"lattice", makeLattice(60, 12, R11), Params(100.0, 1.0), 6706,
        -4317.3587295092602, 0.88294334274651975, 33},
+      // Rows that SMO solves as groups, pinned from the solver that ran
+      // over every row: 159 rows in 40 groups of 3-5 copies,
+      {"repeated", repeatRows(makeXor(10, R21)), Params(50.0, 2.0), 557,
+       -10.495905917681089, 0.0, 12},
+      // equal features with opposite labels (distinct groups, kernel 1),
+      {"conflicting", withConflicts(makeBlobs(15, R22)), Params(10.0, 0.5),
+       756, -202.32755495925915, 0.038404859798516107, 31},
+      // 0.0 and -0.0 twins, which stay apart (17 groups of 61 rows),
+      {"signed-zeros", makeSignedZeros(40, R23), Params(10.0, 1.0), 104,
+       -110.75606328670982, -0.047293061399892367, 15},
+      // and repeated rows stopped by MaxIterations.
+      {"repeated-capped", repeatRows(makeXor(20, R24)), Params(1e4, 5.0, 40),
+       40, -7.1414528245015036, 0.0, 24},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -208,7 +255,7 @@ TEST(Svm, PinnedSolutions) {
 }
 
 TEST(Svm, PathMatchesIndependentFits) {
-  // Every model of a regularization path must be the one solveCSvc fits
+  // Every model of a regularization path must be the one trainCSvc fits
   // at its C, bit for bit. The ladders cover the three ways a smaller C
   // relates to the largest C's run: it leaves at once (its box binds on
   // the first step), it resumes part way, or it never leaves (no alpha
@@ -222,7 +269,7 @@ TEST(Svm, PathMatchesIndependentFits) {
     size_t NeverLeave; ///< Cs below the largest that share its whole run.
     bool ResumesPartWay;
   };
-  Rng R1(1), R2(2), R6(6), R11(11), R11Single(11), R4(4);
+  Rng R1(1), R2(2), R6(6), R11(11), R11Single(11), R4(4), R25(25);
   Dataset Imbalanced; // 6% positives, so C * w+ is 15.7 C.
   for (int I = 0; I != 470; ++I)
     Imbalanced.add({R4.nextDoubleIn(-1.5, 1.5), R4.nextDoubleIn(-1.5, 1.5)},
@@ -248,26 +295,36 @@ TEST(Svm, PathMatchesIndependentFits) {
       // Every fit stops at MaxIterations.
       {"xor-capped", makeXor(50, R6), 5.0, {0.5, 1.1, 2.0, 100.0, 1e4}, 40,
        2, true},
+      // Repeated rows, some copies with the opposite label.
+      {"repeated", withConflicts(repeatRows(makeBlobs(8, R25))), 0.5,
+       {0.01, 0.5, 10.0, 100.0}, 200000, 0, true},
   };
   obs::Counter &Shared =
       obs::MetricsRegistry::global().counter("ml.svm.shared_iterations");
+  obs::Counter &Capped =
+      obs::MetricsRegistry::global().counter("ml.svm.capped_fits");
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
     SvmParams P;
     P.Gamma = C.Gamma;
     P.MaxIterations = C.MaxIterations;
-    std::vector<float> K = rbfKernelMatrix(C.D.X, C.Gamma);
-    uint64_t SharedBefore = Shared.value();
-    std::vector<SvmModel> Path = solveCSvcPath(C.D, K, P, C.Cs);
+    uint64_t SharedBefore = Shared.value(), CappedBefore = Capped.value();
+    std::vector<SvmModel> Path = solveCSvcPath(C.D, P, C.Cs);
     uint64_t SharedGrew = Shared.value() - SharedBefore;
     ASSERT_EQ(Path.size(), C.Cs.size());
+    // One capped fit per model that stopped at MaxIterations.
+    EXPECT_EQ(Capped.value() - CappedBefore,
+              static_cast<uint64_t>(std::count_if(
+                  Path.begin(), Path.end(), [&](const SvmModel &M) {
+                    return M.iterationsUsed() == C.MaxIterations;
+                  })));
 
     size_t Never = 0, SharedByNever = 0;
     const SvmModel &Last = Path.back();
     for (size_t CI = 0; CI != C.Cs.size(); ++CI) {
       SCOPED_TRACE(C.Cs[CI]);
       P.C = C.Cs[CI];
-      SvmModel Solo = solveCSvc(C.D, K, P);
+      SvmModel Solo = trainCSvc(C.D, P);
       const SvmModel &M = Path[CI];
       EXPECT_EQ(M.iterationsUsed(), Solo.iterationsUsed());
       EXPECT_EQ(M.objective(), Solo.objective());
@@ -321,7 +378,7 @@ TEST(Svm, SingleClassGivesConstantClassifier) {
                              R.nextDoubleIn(-3.0, 3.0)}),
                   Label);
       std::vector<SvmModel> Path =
-          solveCSvcPath(D, rbfKernelMatrix(D.X, P.Gamma), P, {1.0, 10.0});
+          solveCSvcPath(D, P, {1.0, 10.0});
       ASSERT_EQ(Path.size(), 2u);
       for (const SvmModel &PM : Path) {
         EXPECT_EQ(PM.numSupportVectors(), 0u);
@@ -331,32 +388,53 @@ TEST(Svm, SingleClassGivesConstantClassifier) {
 }
 
 TEST(Svm, RejectsMalformedInputs) {
-  // Checked in every build, not by assert.
+  // Checked in every build, not by assert: Dataset::add's asserts vanish
+  // under NDEBUG, and SMO groups rows by their bytes.
   Rng R(14);
-  Dataset D = makeBlobs(5, R);
-  std::vector<float> K = rbfKernelMatrix(D.X, 0.5);
+  const Dataset D = makeBlobs(5, R);
   SvmParams P;
   P.Gamma = 0.5;
   EXPECT_THROW(trainCSvc(Dataset(), P), std::invalid_argument);
-  EXPECT_THROW(solveCSvc(Dataset(), {}, P), std::invalid_argument);
-  EXPECT_THROW(solveCSvc(D, std::vector<float>(K.begin(), K.end() - 1), P),
-               std::invalid_argument);
-  EXPECT_THROW(solveCSvc(D, rbfKernelMatrix(makeBlobs(6, R).X, 0.5), P),
-               std::invalid_argument);
+  EXPECT_THROW(solveCSvcPath(Dataset(), P, {1.0}), std::invalid_argument);
+  auto Malformed = [&](const char *Name, auto Edit) {
+    SCOPED_TRACE(Name);
+    Dataset Bad = D;
+    Edit(Bad);
+    EXPECT_THROW(trainCSvc(Bad, P), std::invalid_argument);
+    EXPECT_THROW(solveCSvcPath(Bad, P, {1.0, 10.0}), std::invalid_argument);
+  };
+  Malformed("extra label", [](Dataset &B) { B.Y.push_back(1); });
+  Malformed("missing label", [](Dataset &B) { B.Y.pop_back(); });
+  Malformed("short row", [](Dataset &B) { B.X[3].pop_back(); });
+  Malformed("long row", [](Dataset &B) { B.X.back().push_back(0.0); });
+  for (int Label : {0, 2, -2}) {
+    SCOPED_TRACE(Label);
+    Malformed("label", [&](Dataset &B) { B.Y[4] = Label; });
+  }
+  for (double F : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(F);
+    Malformed("feature", [&](Dataset &B) { B.X[2][1] = F; });
+  }
+  for (double Gamma : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(Gamma);
+    SvmParams BadGamma = P;
+    BadGamma.Gamma = Gamma;
+    EXPECT_THROW(trainCSvc(D, BadGamma), std::invalid_argument);
+  }
   for (double C : {0.0, -1.0, std::nan("")}) {
     SCOPED_TRACE(C);
     P.C = C;
-    EXPECT_THROW(solveCSvc(D, K, P), std::invalid_argument);
+    EXPECT_THROW(trainCSvc(D, P), std::invalid_argument);
   }
   P.C = 1.0;
   using Ladder = std::vector<double>;
   for (const Ladder &Cs : {Ladder{}, Ladder{10.0, 1.0}, Ladder{0.0, 1.0},
                            Ladder{-1.0}, Ladder{1.0, std::nan("")}}) {
     SCOPED_TRACE(Cs.size());
-    EXPECT_THROW(solveCSvcPath(D, K, P, Cs), std::invalid_argument);
+    EXPECT_THROW(solveCSvcPath(D, P, Cs), std::invalid_argument);
   }
   // Equal Cs are ascending.
-  std::vector<SvmModel> Same = solveCSvcPath(D, K, P, {1.0, 1.0});
+  std::vector<SvmModel> Same = solveCSvcPath(D, P, {1.0, 1.0});
   ASSERT_EQ(Same.size(), 2u);
   EXPECT_EQ(Same[0].objective(), Same[1].objective());
 }

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 
 using namespace ipas;
@@ -265,6 +266,12 @@ TEST(Pipeline, RecordDirWritesInspectableStores) {
     std::string Err;
     ASSERT_TRUE(obs::readRecordStore(S, Path, &Err)) << Path << ": " << Err;
     EXPECT_EQ(S.Label, V.Label);
+    // The seed of the variant's own campaign, so it can be re-run.
+    const std::map<std::string, uint64_t> SeedMask = {
+        {"unprotected", 0xE0}, {"full", 0xE1},        {"ipas-1", 0x100},
+        {"ipas-2", 0x101},     {"baseline-1", 0x200}, {"baseline-2", 0x201}};
+    ASSERT_TRUE(SeedMask.count(V.Label)) << V.Label;
+    EXPECT_EQ(S.Seed, tinyConfig().Seed ^ SeedMask.at(V.Label)) << V.Label;
     EXPECT_EQ(S.Rows.size(), V.Campaign.Records.size()) << V.Label;
     ASSERT_EQ(S.OutcomeTotals.size(), static_cast<size_t>(NumOutcomes));
     for (unsigned O = 0; O != NumOutcomes; ++O)
