@@ -6,7 +6,15 @@
 
 #include "ml/Dataset.h"
 
+#include <cstring>
+
 using namespace ipas;
+
+int ipas::compareRowBytes(const std::vector<double> &A,
+                          const std::vector<double> &B) {
+  return A.empty() ? 0 : std::memcmp(A.data(), B.data(),
+                                     A.size() * sizeof(double));
+}
 
 void FeatureScaler::fit(const std::vector<std::vector<double>> &X) {
   assert(!X.empty() && "cannot fit a scaler on an empty set");

@@ -39,6 +39,12 @@ struct Dataset {
   }
 };
 
+/// Orders feature rows of equal width by their bytes, so that a sort
+/// puts bitwise-equal rows together and keeps 0.0 apart from -0.0.
+/// Negative, zero or positive, as std::memcmp.
+int compareRowBytes(const std::vector<double> &A,
+                    const std::vector<double> &B);
+
 /// Min-max scaling of each feature to [0, 1] (the standard LIBSVM
 /// preprocessing). Constant features map to 0.
 class FeatureScaler {

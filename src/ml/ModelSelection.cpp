@@ -11,6 +11,7 @@
 #include "support/ParallelFor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 using namespace ipas;
@@ -24,6 +25,32 @@ double ipas::fScore(const ClassAccuracies &A) {
 
 namespace {
 
+/// A test set's bitwise-distinct feature rows, each with its number of
+/// samples per class ([0]: +1, [1]: -1). Equal rows get equal decision
+/// values, so scoring each distinct row once counts what scoring every
+/// row would.
+struct DistinctRows {
+  std::vector<const std::vector<double> *> X;
+  std::vector<std::array<size_t, 2>> Count;
+
+  explicit DistinctRows(const Dataset &Test) {
+    std::vector<size_t> ByBytes(Test.size());
+    for (size_t I = 0; I != Test.size(); ++I)
+      ByBytes[I] = I;
+    std::sort(ByBytes.begin(), ByBytes.end(), [&](size_t A, size_t B) {
+      return compareRowBytes(Test.X[A], Test.X[B]) < 0;
+    });
+    for (size_t Pos = 0; Pos != ByBytes.size(); ++Pos) {
+      const size_t I = ByBytes[Pos];
+      if (!Pos || compareRowBytes(Test.X[ByBytes[Pos - 1]], Test.X[I])) {
+        X.push_back(&Test.X[I]);
+        Count.push_back({0, 0});
+      }
+      ++Count.back()[Test.Y[I] > 0 ? 0 : 1];
+    }
+  }
+};
+
 /// Correct/total counts per class ([0]: +1 samples, [1]: -1 samples).
 /// Folds pool by summing counts, so a pooled score does not depend on the
 /// order its folds ran in.
@@ -35,6 +62,16 @@ struct ClassTally {
       bool Positive = Test.Y[I] > 0;
       ++Total[!Positive];
       Correct[!Positive] += (Model.predict(Test.X[I]) > 0) == Positive;
+    }
+  }
+  /// The counts add(Model, Test) gives, from one decision per distinct
+  /// row of Test.
+  void add(const SvmModel &Model, const DistinctRows &Test) {
+    for (size_t R = 0; R != Test.X.size(); ++R) {
+      const size_t Hit = Model.predict(*Test.X[R]) > 0 ? 0 : 1;
+      for (size_t C = 0; C != 2; ++C)
+        Total[C] += Test.Count[R][C];
+      Correct[Hit] += Test.Count[R][Hit];
     }
   }
   void add(const ClassTally &O) {
@@ -145,9 +182,8 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
           .add("configs", static_cast<uint64_t>(Cs.size() * Gammas.size()))
           .add("folds", Cfg.Folds)
           .add("samples", static_cast<uint64_t>(D.size())));
-  obs::MetricsRegistry::global()
-      .counter("ml.grid.configs")
-      .inc(Cs.size() * Gammas.size());
+  auto &Reg = obs::MetricsRegistry::global();
+  Reg.counter("ml.grid.configs").inc(Cs.size() * Gammas.size());
 
   // Every configuration scores on the same fold split, the one
   // crossValidate would draw from Rng(Cfg.Seed ^ 0x9e37).
@@ -155,10 +191,11 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
   std::vector<Fold> Split = stratifiedFolds(D, Cfg.Folds, FoldRng);
 
   // One unit per (gamma, fold) on the worker pool: one regularization
-  // path over every C (solveCSvcPath, exact per C).
-  // A unit writes only its own slots, and a configuration sums its slots
-  // in fold order, so the ranking is the serial one whatever the thread
-  // count or schedule. The path needs ascending Cs; Order maps them back.
+  // path over every C (solveCSvcPath, exact per C), whose models score
+  // the fold's distinct test rows, each once. A unit writes only its own
+  // slots, and a configuration sums its slots in fold order, so the
+  // ranking is the serial one whatever the thread count or schedule. The
+  // path needs ascending Cs; Order maps them back.
   std::vector<size_t> Order(Cs.size());
   for (size_t CI = 0; CI != Cs.size(); ++CI)
     Order[CI] = CI;
@@ -175,16 +212,26 @@ std::vector<RankedConfig> ipas::gridSearch(const Dataset &D,
     return P;
   };
   const size_t NumFolds = Split.size();
+  std::vector<DistinctRows> Tests;
+  for (const Fold &Fo : Split)
+    Tests.emplace_back(Fo.Test);
+  obs::Counter &SolveUs = Reg.counter("ml.grid.solve_us");
+  obs::Counter &ScoreUs = Reg.counter("ml.grid.score_us");
+  obs::Counter &ScoredRows = Reg.counter("ml.grid.scored_rows");
   std::vector<ClassTally> Slots(Gammas.size() * Cs.size() * NumFolds);
   const size_t NumUnits = Cs.empty() ? 0 : Gammas.size() * NumFolds;
   parallelFor(NumUnits, hardwareWorkers(), [&](size_t U) {
     const size_t GI = U / NumFolds, F = U % NumFolds;
-    const Fold &Fo = Split[F];
+    const uint64_t Start = obs::monotonicMicros();
     std::vector<SvmModel> Path =
-        solveCSvcPath(Fo.Train, Params(GI, 0), PathCs);
+        solveCSvcPath(Split[F].Train, Params(GI, 0), PathCs);
+    const uint64_t Solved = obs::monotonicMicros();
     for (size_t K = 0; K != Order.size(); ++K)
       Slots[(GI * Cs.size() + Order[K]) * NumFolds + F].add(Path[K],
-                                                            Fo.Test);
+                                                            Tests[F]);
+    SolveUs.inc(Solved - Start);
+    ScoreUs.inc(obs::monotonicMicros() - Solved);
+    ScoredRows.inc(Path.size() * Tests[F].X.size());
   });
 
   Results.reserve(Cs.size() * Gammas.size());

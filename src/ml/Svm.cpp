@@ -4,24 +4,26 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// SMO in the Fan–Chen–Lin style used by LIBSVM: at each iteration the
-/// maximal violating pair (i from I_up, j from I_low) is selected by
-/// first-order information, the two alphas are updated analytically under
-/// the box constraints, and the gradient is maintained incrementally in
-/// the same pass that selects the next pair, once per group of equal
-/// rows. solveCSvcPath fits a whole ladder of C values from one run at
-/// the largest (DESIGN.md "Model selection").
+/// SMO with first-order working-set selection: at each iteration the
+/// maximal violating pair (i from I_up, j from I_low) is selected, the
+/// two alphas are updated analytically under the box constraints, and the
+/// gradient is maintained incrementally in the same vector pass that
+/// selects the next pair (ml/SmoPass.h), once per group of equal rows.
+/// (LIBSVM selects j by second-order gain, Fan, Chen & Lin 2005.)
+/// solveCSvcPath fits a whole ladder of C values from one run at the
+/// largest (DESIGN.md "Model selection").
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ml/Svm.h"
+
+#include "ml/SmoPass.h"
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -59,51 +61,11 @@ struct Box {
 
 constexpr double Inf = std::numeric_limits<double>::infinity();
 
-/// Working-set selection: i maximizes V over I_up, j minimizes it over
-/// I_low, first index on ties (N when the set is empty). Candidates are
-/// groups, each offering its smallest index in the set (N if none). The
-/// scan keeps the first candidate in scan order, which is not always the
-/// smallest index, and notes whether a later one tied it; settle() then
-/// picks the smallest index among the tied.
+/// A working set: i maximizes V over I_up, j minimizes it over I_low,
+/// first row index on ties (N when the set is empty), with their V.
 struct WorkingSet {
   double GMax = -Inf, GMin = Inf;
-  size_t Imax, Jmin;
-  bool TieMax = false, TieMin = false;
-
-  explicit WorkingSet(size_t N) : Imax(N), Jmin(N) {}
-  void consider(double VT, size_t Up, size_t Low, size_t N) {
-    if (Up != N && VT >= GMax) {
-      TieMax = VT == GMax;
-      if (!TieMax) {
-        GMax = VT;
-        Imax = Up;
-      }
-    }
-    if (Low != N && VT <= GMin) {
-      TieMin = VT == GMin;
-      if (!TieMin) {
-        GMin = VT;
-        Jmin = Low;
-      }
-    }
-  }
-  /// Resolves ties over the \p G candidates just scanned.
-  void settle(const double *V, const size_t *UpFirst,
-              const size_t *LowFirst, size_t G, size_t N) {
-    if (!(TieMax || TieMin))
-      return;
-    const double Max = GMax, Min = GMin;
-    for (size_t T = 0; T != G; ++T) {
-      if (TieMax && UpFirst[T] != N && V[T] == Max && UpFirst[T] < Imax) {
-        GMax = V[T];
-        Imax = UpFirst[T];
-      }
-      if (TieMin && LowFirst[T] != N && V[T] == Min && LowFirst[T] < Jmin) {
-        GMin = V[T];
-        Jmin = LowFirst[T];
-      }
-    }
-  }
+  size_t Imax = 0, Jmin = 0;
 };
 
 /// Everything an SMO iteration reads besides the data, the kernel and
@@ -117,9 +79,12 @@ struct SmoState {
   std::vector<double> V;
   // Per row, membership in I_up / I_low; only the updated pair can change.
   std::vector<unsigned char> Up, Low;
-  // Per group, its smallest row index in I_up / I_low (N if none).
-  std::vector<size_t> UpFirst, LowFirst;
-  WorkingSet Sel{0}; ///< The pair iteration Iter updates.
+  // Per group, its smallest row index in I_up / I_low (+inf if none) and
+  // the matching selection offset (0 if it has one, else -inf for I_up
+  // and +inf for I_low). The per-group arrays are padded to
+  // SmoPassArrays::Block with groups that are in neither set.
+  std::vector<double> UpFirst, LowFirst, UpOff, LowOff;
+  WorkingSet Sel{}; ///< The pair iteration Iter updates.
   size_t Iter = 0;
 };
 
@@ -137,11 +102,10 @@ public:
     std::vector<size_t> ByKey(N);
     for (size_t I = 0; I != N; ++I)
       ByKey[I] = I;
-    const size_t Bytes = D.dim() * sizeof(double);
     auto Compare = [&](size_t A, size_t B) {
       if (D.Y[A] != D.Y[B])
         return D.Y[A] < D.Y[B] ? -1 : 1;
-      return Bytes ? std::memcmp(D.X[A].data(), D.X[B].data(), Bytes) : 0;
+      return compareRowBytes(D.X[A], D.X[B]);
     };
     std::stable_sort(ByKey.begin(), ByKey.end(),
                      [&](size_t A, size_t B) { return Compare(A, B) < 0; });
@@ -157,16 +121,19 @@ public:
     // The kernel over the groups' feature rows: entry (g, h) is the same
     // float as entry (i, j) of the N x N kernel for any i in g and j in h
     // (rbfKernel is symmetric bit for bit, and equal finite rows give
-    // exp(-gamma * 0) = 1, the diagonal).
+    // exp(-gamma * 0) = 1, the diagonal). It is held widened to double,
+    // which is exact, with its rows padded by zeros to the pass's width.
     const size_t G = Lead.size();
-    K.resize(G * G);
+    Width = (G + SmoPassArrays::Block - 1) / SmoPassArrays::Block *
+            SmoPassArrays::Block;
+    K.assign(G * Width, 0.0);
     for (size_t A = 0; A != G; ++A) {
-      K[A * G + A] = 1.0f; // exp(0)
+      K[A * Width + A] = 1.0; // exp(0)
       for (size_t B = A + 1; B != G; ++B) {
-        float V = static_cast<float>(rbfKernel(D.X[Lead[A]], D.X[Lead[B]],
-                                               P.Gamma));
-        K[A * G + B] = V;
-        K[B * G + A] = V;
+        double V = static_cast<float>(rbfKernel(D.X[Lead[A]], D.X[Lead[B]],
+                                                P.Gamma));
+        K[A * Width + B] = V;
+        K[B * Width + A] = V;
       }
     }
   }
@@ -176,19 +143,19 @@ public:
     const size_t G = Lead.size();
     SmoState S;
     S.Alpha.assign(N, 0.0);
-    S.V.resize(G);
+    S.V.assign(Width, 0.0);
     S.Up.resize(N);
     S.Low.resize(N);
-    S.UpFirst.assign(G, N);
-    S.LowFirst.assign(G, N);
+    S.UpFirst.assign(Width, Inf);
+    S.LowFirst.assign(Width, Inf);
+    S.UpOff.assign(Width, -Inf);
+    S.LowOff.assign(Width, Inf);
     for (size_t A = 0; A != G; ++A)
       S.V[A] = static_cast<double>(D.Y[Lead[A]]); // G starts at -1
     for (size_t I = 0; I != N; ++I)
       refresh(S, B, I);
-    S.Sel = WorkingSet(N);
-    for (size_t A = 0; A != G; ++A)
-      S.Sel.consider(S.V[A], S.UpFirst[A], S.LowFirst[A], N);
-    S.Sel.settle(S.V.data(), S.UpFirst.data(), S.LowFirst.data(), G, N);
+    // A zero step: every V - (0 * K + 0 * K) is V, bit for bit.
+    select(S, 0, 0, 0.0, 0.0);
     return S;
   }
 
@@ -199,21 +166,16 @@ public:
   /// box clamps (alpha_i, alpha_j, then alpha_i re-adjusted).
   template <typename WatchFn>
   void run(SmoState &S, const Box &B, WatchFn &&Watch) const {
-    // The selection lives in a local through the fused loop (stores to V
-    // could alias S.Sel) and is written back to S once per iteration.
-    const size_t G = Lead.size();
-    WorkingSet W = S.Sel;
-    double *V = S.V.data();
-    const size_t *UpFirst = S.UpFirst.data(), *LowFirst = S.LowFirst.data();
     for (; S.Iter != P.MaxIterations; ++S.Iter) {
+      const WorkingSet &W = S.Sel;
       if (W.Imax == N || W.Jmin == N || W.GMax - W.GMin < P.Epsilon)
         break;
 
       const size_t I = W.Imax, J = W.Jmin;
       const double Yi = D.Y[I], Yj = D.Y[J];
       const size_t GI = GroupOf[I], GJ = GroupOf[J];
-      const float *Ki = &K[GI * G];
-      const float *Kj = &K[GJ * G];
+      const double *Ki = &K[GI * Width];
+      const double *Kj = &K[GJ * Width];
 
       // Second-order curvature along the (i, j) direction.
       double Quad = Ki[GI] + Kj[GJ] - 2.0 * Yi * Yj * Ki[GJ];
@@ -244,16 +206,7 @@ public:
       double DAj = (Aj - OldAj) * Yj;
       if (DAi == 0.0 && DAj == 0.0)
         break; // numerically stuck
-      // Gradient update fused with the next working-set selection, once
-      // per group: every row of it would take the same step.
-      W = WorkingSet(N);
-      for (size_t T = 0; T != G; ++T) {
-        double VT = V[T] - (DAi * Ki[T] + DAj * Kj[T]);
-        V[T] = VT;
-        W.consider(VT, UpFirst[T], LowFirst[T], N);
-      }
-      W.settle(V, UpFirst, LowFirst, G, N);
-      S.Sel = W;
+      select(S, GI, GJ, DAi, DAj);
     }
   }
 
@@ -348,30 +301,50 @@ public:
   }
 
 private:
-  /// Refreshes row \p I's I_up/I_low flags and its group's first rows.
+  /// Applies the gradient step DAi * K(g_i, .) + DAj * K(g_j, .) to every
+  /// group's V and selects the next working set into S.Sel
+  /// (ml/SmoPass.h).
+  void select(SmoState &S, size_t GI, size_t GJ, double DAi,
+              double DAj) const {
+    const SmoPair Pair = smoPass(
+        {S.V.data(), S.UpOff.data(), S.UpFirst.data(), S.LowOff.data(),
+         S.LowFirst.data(), Width},
+        &K[GI * Width], &K[GJ * Width], DAi, DAj, N);
+    // V read back at the chosen rows, not the pass's keys: V + 0 turns a
+    // -0 into +0, and the sign would reach the step.
+    S.Sel = {Pair.I != N ? S.V[GroupOf[Pair.I]] : -Inf,
+             Pair.J != N ? S.V[GroupOf[Pair.J]] : Inf, Pair.I, Pair.J};
+  }
+
+  /// Refreshes row \p I's I_up/I_low flags and its group's first rows
+  /// and offsets.
   void refresh(SmoState &S, const Box &B, size_t I) const {
     const double Cap = B.cap(D.Y[I]);
+    const size_t Gr = GroupOf[I];
     S.Up[I] = (D.Y[I] > 0 && S.Alpha[I] < Cap) ||
               (D.Y[I] < 0 && S.Alpha[I] > 0.0);
     S.Low[I] = (D.Y[I] > 0 && S.Alpha[I] > 0.0) ||
                (D.Y[I] < 0 && S.Alpha[I] < Cap);
-    S.UpFirst[GroupOf[I]] = firstIn(S.Up, S.UpFirst[GroupOf[I]], I);
-    S.LowFirst[GroupOf[I]] = firstIn(S.Low, S.LowFirst[GroupOf[I]], I);
+    S.UpFirst[Gr] = firstIn(S.Up, S.UpFirst[Gr], I);
+    S.LowFirst[Gr] = firstIn(S.Low, S.LowFirst[Gr], I);
+    S.UpOff[Gr] = S.UpFirst[Gr] == Inf ? -Inf : 0.0;
+    S.LowOff[Gr] = S.LowFirst[Gr] == Inf ? Inf : 0.0;
   }
 
-  /// The smallest row of I's group in the set \p In, given that it was
-  /// \p First before only row I's membership changed.
-  size_t firstIn(const std::vector<unsigned char> &In, size_t First,
+  /// The smallest row of I's group in the set \p In (+inf if none), given
+  /// that it was \p First before only row I's membership changed.
+  double firstIn(const std::vector<unsigned char> &In, double First,
                  size_t I) const {
+    const double Row = static_cast<double>(I);
     if (In[I])
-      return std::min(First, I);
-    if (First != I)
+      return std::min(First, Row);
+    if (First != Row)
       return First;
     // I left and was the first: no earlier row is in, so look after it.
     size_t T = Next[I];
     while (T != N && !In[T])
       T = Next[T];
-    return T;
+    return T == N ? Inf : static_cast<double>(T);
   }
 
   const Dataset &D;
@@ -380,7 +353,8 @@ private:
   std::vector<size_t> GroupOf; ///< Row -> group.
   std::vector<size_t> Next;    ///< Row -> next row of its group, or N.
   std::vector<size_t> Lead;    ///< Group -> its smallest row.
-  std::vector<float> K;        ///< Group x group kernel, row-major.
+  size_t Width = 0;            ///< Groups, padded to SmoPassArrays::Block.
+  std::vector<double> K;       ///< Group x Width kernel, row-major.
 };
 
 std::vector<SvmModel> ipas::solveCSvcPath(const Dataset &D,

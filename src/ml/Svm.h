@@ -6,10 +6,12 @@
 ///
 /// \file
 /// A support vector classifier in the LIBSVM mold (the paper uses Chang &
-/// Lin's C-SVM): the dual problem is solved by SMO with Fan–Chen–Lin
-/// maximal-violating-pair working-set selection, an RBF kernel, and
+/// Lin's C-SVM): the dual problem is solved by SMO with an RBF kernel and
 /// per-class penalty weights to cope with the heavy class imbalance of SOC
-/// training data (3-10% positives, §4.3.1).
+/// training data (3-10% positives, §4.3.1). Working sets are chosen by
+/// first-order information, the maximal violating pair; LIBSVM picks j
+/// by second-order gain instead (Fan, Chen & Lin, JMLR 6, 2005), so the
+/// iterations, though not the optimum, differ from LIBSVM's.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "ml/ModelSelection.h"
+#include "ml/SmoPass.h"
 #include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -77,18 +79,49 @@ Dataset withConflicts(Dataset D) {
   return D;
 }
 
-/// Noisy diagonal split on a 3x3 lattice over {-1, 0, 1}; a row with a
-/// 0.0 coordinate is followed by a twin with -0.0 there, same label.
-Dataset makeSignedZeros(size_t N, Rng &R) {
+/// Noisy diagonal split on a 3x3 lattice over {-1, 0, 1} * \p Scale; a
+/// row with a 0.0 coordinate is followed by a twin with -0.0 there, same
+/// label.
+Dataset makeSignedZeros(size_t N, Rng &R, double Scale = 1.0) {
   Dataset D;
   for (size_t I = 0; I != N; ++I) {
     double A = static_cast<double>(R.nextBelow(3)) - 1.0;
     double B = static_cast<double>(R.nextBelow(3)) - 1.0;
     int Label = A + B + R.nextDoubleIn(-0.9, 0.9) > 0.0 ? 1 : -1;
+    A *= Scale;
+    B *= Scale;
     D.add({A, B}, Label);
     if (A == 0.0 || B == 0.0)
       D.add({A == 0.0 ? -0.0 : A, B == 0.0 ? -0.0 : B}, Label);
   }
+  return D;
+}
+
+/// \p Clusters noisy splits of \p PerCluster rows each, 20 apart: at
+/// gamma = 1 the float kernel between clusters is exactly 0, so the rows
+/// of clusters SMO has not reached keep V = +-1 and tie every iteration.
+Dataset makeFarClusters(size_t Clusters, size_t PerCluster, Rng &R) {
+  Dataset D;
+  for (size_t C = 0; C != Clusters; ++C)
+    for (size_t I = 0; I != PerCluster; ++I) {
+      double A = R.nextDoubleIn(-0.6, 0.6), B = R.nextDoubleIn(-0.6, 0.6);
+      D.add({20.0 * static_cast<double>(C) + A, B},
+            A + R.nextDoubleIn(-0.3, 0.3) > 0.0 ? 1 : -1);
+    }
+  return D;
+}
+
+/// Rows in exactly \p G groups (2 <= G <= 9): point g of a skewed 3x3
+/// grid, labeled +1 when g % 3 == 1, repeated 1 + g % 3 times.
+Dataset makeGroups(size_t G) {
+  Dataset D;
+  for (size_t Rep = 0; Rep != 3; ++Rep)
+    for (size_t Gr = 0; Gr != G; ++Gr)
+      if (Rep <= Gr % 3) {
+        const double Col = static_cast<double>(Gr % 3);
+        const double Row = static_cast<double>(Gr / 3);
+        D.add({0.5 * Col + 0.2 * Row, 0.7 * Row}, Gr % 3 == 1 ? 1 : -1);
+      }
   return D;
 }
 
@@ -219,7 +252,8 @@ TEST(Svm, PinnedSolutions) {
     P.MaxIterations = MaxIterations;
     return P;
   };
-  Rng R1(1), R2(2), R6(6), R11(11), R21(21), R22(22), R23(23), R24(24);
+  Rng R1(1), R2(2), R6(6), R11(11), R21(21), R22(22), R23(23), R24(24),
+      R31(31), R32(32), R33(33);
   std::vector<Case> Cases = {
       {"blobs", makeBlobs(40, R1), Params(10.0, 0.5), 21,
        -2.1507586559569178, 0.050572582044924319, 8},
@@ -243,6 +277,33 @@ TEST(Svm, PinnedSolutions) {
       // and repeated rows stopped by MaxIterations.
       {"repeated-capped", repeatRows(makeXor(20, R24)), Params(1e4, 5.0, 40),
        40, -7.1414528245015036, 0.0, 24},
+      // Pinned from the scalar scan before the vector pass (ml/SmoPass.h):
+      // far-apart clusters, whose untouched groups tie at V = +-1 every
+      // iteration, also stopped by MaxIterations,
+      {"far-apart", makeFarClusters(12, 6, R31), Params(100.0, 1.0), 355,
+       -296.09648585523115, -0.013646462025396282, 38},
+      {"far-capped", makeFarClusters(10, 6, R32), Params(1e4, 1.0, 25), 25,
+       -55.509568366083435, 0.060737681772650834, 30},
+      // 0.0 and -0.0 twins far apart,
+      {"signed-zeros-far", makeSignedZeros(40, R33, 15.0), Params(10.0, 1.0),
+       77, -116.49999923643827, -0.33336041190407495, 19},
+      // and 2 to 9 groups, every length modulo the pass's width.
+      {"groups-2", makeGroups(2), Params(10.0, 1.0), 58, -4.5208107912759692,
+       0.0, 2},
+      {"groups-3", makeGroups(3), Params(10.0, 1.0), 202, -15.830526940311731,
+       -2.5006747825271738, 3},
+      {"groups-4", makeGroups(4), Params(10.0, 1.0), 206, -15.845401515800466,
+       -2.5487402052329386, 4},
+      {"groups-5", makeGroups(5), Params(10.0, 1.0), 242, -21.59063816618298,
+       -2.2331979121657044, 7},
+      {"groups-6", makeGroups(6), Params(10.0, 1.0), 231, -22.908835555816289,
+       -2.5544950033004716, 6},
+      {"groups-7", makeGroups(7), Params(10.0, 1.0), 233, -22.908835419576718,
+       -2.554498676842806, 6},
+      {"groups-8", makeGroups(8), Params(10.0, 1.0), 250, -27.135461948741231,
+       -2.1010397075611258, 8},
+      {"groups-9", makeGroups(9), Params(10.0, 1.0), 242, -30.382658181513012,
+       -2.5881211259483208, 9},
   };
   for (const Case &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -252,6 +313,85 @@ TEST(Svm, PinnedSolutions) {
     EXPECT_EQ(M.bias(), C.Bias);
     EXPECT_EQ(M.numSupportVectors(), C.SupportVectors);
   }
+}
+
+TEST(Svm, PassMatchesScalarScan) {
+  // Both versions of SMO's vector pass against a scalar reference on
+  // random groups with ties, 0.0 and -0.0, infinities, NaN and empty
+  // sets: the same V bits, then the largest (I_up) and smallest (I_low)
+  // V among the groups in the set, the smallest row among those tied,
+  // NaN never chosen and N for a set with nothing to choose.
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double Pool[] = {1.0,  -1.0, 0.0, -0.0, 0.25,
+                         -0.5, Inf,  -Inf, std::nan("")};
+  Rng R(41);
+  auto Draw = [&](size_t Odds) { return R.nextBelow(Odds) == 0; };
+  for (size_t G = 1; G != 20; ++G)
+    for (int Trial = 0; Trial != 60; ++Trial) {
+      SCOPED_TRACE(G);
+      SCOPED_TRACE(Trial);
+      const size_t Block = SmoPassArrays::Block;
+      const size_t Width = (G + Block - 1) / Block * Block, N = 3 * G;
+      std::vector<double> V(Width, 0.0), Ki(Width, 0.0), Kj(Width, 0.0);
+      std::vector<double> UpOff(Width, -Inf), UpFirst(Width, Inf);
+      std::vector<double> LowOff(Width, Inf), LowFirst(Width, Inf);
+      std::vector<size_t> Rows(N);
+      for (size_t I = 0; I != N; ++I)
+        Rows[I] = I;
+      R.shuffle(N, [&](size_t A, size_t B) { std::swap(Rows[A], Rows[B]); });
+      for (size_t T = 0; T != G; ++T) {
+        V[T] = Draw(3) ? R.nextDoubleIn(-2.0, 2.0) : Pool[R.nextBelow(9)];
+        Ki[T] = Draw(3) ? 0.0 : R.nextDoubleIn(0.0, 1.0);
+        Kj[T] = Draw(3) ? 1.0 : R.nextDoubleIn(0.0, 1.0);
+        // Every fourth trial leaves I_up empty, every fifth I_low.
+        if (Trial % 4 != 0 && !Draw(3)) {
+          UpOff[T] = 0.0;
+          UpFirst[T] = static_cast<double>(Rows[T]);
+        }
+        if (Trial % 5 != 0 && !Draw(3)) {
+          LowOff[T] = 0.0;
+          LowFirst[T] = static_cast<double>(Rows[G + T]);
+        }
+      }
+      const double DAi = Trial % 3 ? R.nextDoubleIn(-2.0, 2.0) : 0.0;
+      const double DAj = Trial % 3 ? R.nextDoubleIn(-2.0, 2.0) : -0.0;
+
+      std::vector<double> Want = V;
+      for (size_t T = 0; T != Width; ++T)
+        Want[T] = V[T] - (DAi * Ki[T] + DAj * Kj[T]);
+      auto Pick = [&](const std::vector<double> &First, bool Max) {
+        double Best = Max ? -Inf : Inf;
+        bool Any = false;
+        for (size_t T = 0; T != G; ++T)
+          if (First[T] != Inf && !std::isnan(Want[T])) {
+            Best = Any ? (Max ? std::max(Best, Want[T])
+                              : std::min(Best, Want[T]))
+                       : Want[T];
+            Any = true;
+          }
+        size_t Row = N;
+        for (size_t T = 0; T != G; ++T)
+          if (Any && First[T] != Inf && Want[T] == Best)
+            Row = std::min(Row, static_cast<size_t>(First[T]));
+        return Row;
+      };
+      const size_t WantI = Pick(UpFirst, true), WantJ = Pick(LowFirst, false);
+
+      for (auto Pass : {&smoPass, &smoPassDefault}) {
+        std::vector<double> Got = V;
+        SmoPair P = Pass({Got.data(), UpOff.data(), UpFirst.data(),
+                          LowOff.data(), LowFirst.data(), Width},
+                         Ki.data(), Kj.data(), DAi, DAj, N);
+        EXPECT_EQ(P.I, WantI);
+        EXPECT_EQ(P.J, WantJ);
+        for (size_t T = 0; T != Width; ++T) {
+          if (std::isnan(Got[T]) && std::isnan(Want[T]))
+            continue;
+          EXPECT_EQ(std::memcmp(&Got[T], &Want[T], sizeof(double)), 0)
+              << T << ": " << Got[T] << " vs " << Want[T];
+        }
+      }
+    }
 }
 
 TEST(Svm, PathMatchesIndependentFits) {
@@ -507,21 +647,33 @@ TEST(GridSearch, PaperGridIs500Configurations) {
 }
 
 TEST(GridSearch, MatchesSerialCrossValidation) {
-  // The pooled search (one kernel per gamma, (C, fold) units on threads)
-  // must rank exactly as scoring each configuration with crossValidate
-  // and stable-sorting. The second dataset has a single positive, so the
-  // 5-fold split leaves fold 0 without one to train on.
-  for (auto [N, Positives] : {std::pair<size_t, size_t>{60, 12}, {31, 1}}) {
-    SCOPED_TRACE(N);
-    Rng R(11);
-    Dataset D = makeLattice(N, Positives, R);
+  // The pooled search ((gamma, fold) units on threads, each test row
+  // scored once per distinct feature row) must rank exactly as scoring
+  // each configuration with crossValidate, which scores every row, and
+  // stable-sorting. The second dataset has a single positive, so the
+  // 5-fold split leaves fold 0 without one to train on; the last two
+  // repeat rows, with opposite labels too, and hold 0.0/-0.0 twins.
+  Rng R11(11), R11Single(11), R25(25), R23(23);
+  std::pair<const char *, Dataset> Sets[] = {
+      {"lattice", makeLattice(60, 12, R11)},
+      {"single-positive", makeLattice(31, 1, R11Single)},
+      {"repeated", withConflicts(repeatRows(makeBlobs(8, R25)))},
+      {"signed-zeros", makeSignedZeros(40, R23)},
+  };
+  for (const auto &[Name, D] : Sets) {
+    SCOPED_TRACE(Name);
     GridSearchConfig GC;
     GC.CSteps = 4;
     GC.GammaSteps = 3;
     GC.Folds = 5;
     GC.MaxIterations = 5000;
+    obs::Counter &Scored =
+        obs::MetricsRegistry::global().counter("ml.grid.scored_rows");
+    const uint64_t ScoredBefore = Scored.value();
     std::vector<RankedConfig> All = gridSearch(D, GC);
     ASSERT_EQ(All.size(), 12u);
+    // Every set repeats rows, so fewer decisions than 12 per row.
+    EXPECT_LT(Scored.value() - ScoredBefore, 12 * D.size());
 
     // Grid order is gamma-major, both axes ascending.
     std::vector<RankedConfig> Serial = All;
